@@ -95,6 +95,11 @@ def compute_r1(
     """First kernel ``r_1(s) = (1/sqrt(2 pi)) int 1j k_star(w) exp(-1j w s) dw``
     by composite trapezoid on ``[-omega_max, omega_max]``.
 
+    The node sum is factored: with node ``j = a*B + b`` and ``B ~ sqrt(N)``,
+    ``exp(-1j w_j s) = exp(-1j (w_0 + a*B*dw) s) * exp(-1j b*dw s)``, so two
+    ``(lags, ~sqrt(N))`` exponential tables and one matrix product replace
+    the ``(lags, N)`` table of the direct sum, for any lags.
+
     Returns the complex quadrature value; for symbols with the physical
     symmetry ``k_star(-w) = -conj(k_star(w))`` the imaginary part is
     rounding noise, which callers may check and drop.
@@ -103,17 +108,25 @@ def compute_r1(
     if omega_max <= 0 or num_nodes < 8:
         raise ValueError("quadrature needs omega_max > 0 and num_nodes >= 8")
     w = np.linspace(-omega_max, omega_max, num_nodes)
-    weights = np.full(num_nodes, w[1] - w[0])
+    dw = w[1] - w[0]
+    weights = np.full(num_nodes, dw)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     g = weights * (1j * np.asarray(fn(w), dtype=complex))
+    inner = int(np.ceil(np.sqrt(num_nodes)))
+    outer = -(-num_nodes // inner)
+    g = np.concatenate([g, np.zeros(outer * inner - num_nodes)]).reshape(outer, inner)
+    coarse = w[0] + dw * inner * np.arange(outer)
+    fine = dw * np.arange(inner)
     lags = np.asarray(lags, dtype=float)
-    out = np.empty(lags.shape, dtype=complex)
-    block = max(1, int(2e6 // num_nodes))
-    for a in range(0, lags.size, block):
-        b = min(a + block, lags.size)
-        out[a:b] = np.exp(-1j * np.outer(lags[a:b], w)) @ g
-    return out / SQRT_2PI
+    flat = lags.ravel()
+    out = np.empty(flat.size, dtype=complex)
+    block = max(1, int(2e6 // (outer + inner)))
+    for a in range(0, flat.size, block):
+        s = flat[a : a + block]
+        partial = np.exp(-1j * np.outer(s, fine)) @ g.T  # (lags, outer)
+        out[a : a + block] = np.einsum("la,la->l", np.exp(-1j * np.outer(s, coarse)), partial)
+    return out.reshape(lags.shape) / SQRT_2PI
 
 
 def _convolve_full(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:

@@ -117,6 +117,9 @@ class ScenarioConfig:
             self.duration = 6.0 if self.geometry == "circle" else 8.0
         if self.noise_level < 0:
             raise ConfigError(f"noise.level: must be >= 0, got {self.noise_level!r}")
+        lam = self.regularization
+        if lam is not None and not (np.isfinite(lam) and lam > 0):
+            raise ConfigError(f"regularization.lam: must be positive and finite, got {lam!r}")
         if self.inverse_crime:
             self.inversion_time_count = self.forward_time_count
             self.inversion_sensor_count = self.forward_sensor_count
@@ -204,9 +207,15 @@ class ScenarioConfig:
         reg = d.pop("regularization", None)
         if reg is not None and reg != "none":
             if isinstance(reg, dict):
-                kwargs["regularization"] = float(reg.get("lam", 0.0)) or None
-            else:
+                if reg.get("kind") != "tikhonov":
+                    raise ConfigError(
+                        f"regularization.kind: expected 'tikhonov', got {reg.get('kind')!r}"
+                    )
+                reg = reg.get("lam")
+            try:
                 kwargs["regularization"] = float(reg)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"regularization.lam: {exc}") from exc
         simple = {
             "duration": float, "forward_time_count": int, "forward_sensor_count": int,
             "inversion_time_count": int, "inversion_sensor_count": int,
@@ -379,11 +388,12 @@ _FORWARD_CACHE_LIMIT = 8
 def _forward_pressure(config: ScenarioConfig, phantom: Phantom) -> WaveData:
     sensors = config.sensors(config.forward_sensor_count)
     tg = config.forward_time_grid()
+    # every input spectral_forward reads: the raster geometry sets the padded
+    # side and the default dx, the ellipses (or values) the initial field
     key = (
-        repr(sorted(config.phantom.items(), key=lambda kv: str(kv[0]))),
-        config.geometry, config.radius, config.line_length, config.standoff,
-        config.duration, config.forward_time_count, config.forward_sensor_count,
-        config.target_dx,
+        phantom.values.shape, phantom.spacing, phantom.origin,
+        phantom.ellipses if phantom.ellipses is not None else phantom.values.tobytes(),
+        sensors.kind, sensors.points.tobytes(), tg, config.target_dx,
     )
     cached = _FORWARD_CACHE.get(key)
     if cached is None:

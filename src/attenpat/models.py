@@ -15,6 +15,7 @@ families matter here:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Union
 
@@ -328,8 +329,8 @@ def model_tag(model: AttenuationModel) -> str:
     if isinstance(model, PowerLawModel):
         return f"power-law(amplitude={model.amplitude:.17g},exponent={model.exponent:.17g})"
     if isinstance(model, TabulatedWeakModel):
-        digest = hash((model.omega.tobytes(), model.kstar.tobytes())) & 0xFFFFFFFF
-        return f"tabulated(k_inf={model.k_inf:.17g},n={model.omega.size},h={digest:08x})"
+        digest = hashlib.sha256(model.omega.tobytes() + model.kstar.tobytes()).hexdigest()
+        return f"tabulated(k_inf={model.k_inf:.17g},n={model.omega.size},h={digest[:8]})"
     raise TypeError(f"not an attenuation model: {model!r}")
 
 

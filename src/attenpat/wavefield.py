@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
+from scipy.fft import ifft, irfft, irfft2, next_fast_len, rfft2
 
 __all__ = [
     "TimeGrid",
@@ -383,6 +383,12 @@ class SpectralPropagator:
         kx = 2.0 * np.pi * np.fft.fftfreq(size, self.dx)
         ky = 2.0 * np.pi * np.fft.rfftfreq(size, self.dx)
         self.abs_k = np.hypot(kx[:, None], ky[None, :])
+        # |k| takes about a fifth as many distinct values as there are modes
+        uniq, inverse = np.unique(self.abs_k.T, return_inverse=True)
+        self._k_unique = uniq
+        self._k_inverse = inverse.reshape(self.abs_k.T.shape)
+        # irfft2's 1/n**2, applied as pocketfft applies it
+        self._norm = float(1 / np.longdouble(size * size))
 
         lo = self.axis[0] + self.dx
         hi = self.axis[-1] - self.dx
@@ -395,9 +401,31 @@ class SpectralPropagator:
         self._j0 = np.floor(gy).astype(int)
         self._fx = gx - self._i0
         self._fy = gy - self._j0
+        # grid rows (x indices) that the bilinear stencils read
+        self.rows = np.unique(np.concatenate([self._i0, self._i0 + 1]))
+        self._r0 = np.searchsorted(self.rows, self._i0)
 
-    def pressure_field(self, t: float) -> np.ndarray:
-        return irfft2(self.h_hat * np.cos(self.abs_k * t), s=(self.size, self.size))
+    @property
+    def h_hat(self) -> np.ndarray:
+        """Spectrum ``rfft2(h)``, shape ``(size, size // 2 + 1)``."""
+        return self._h_hat_t.T
+
+    @h_hat.setter
+    def h_hat(self, value: np.ndarray) -> None:
+        # kept transposed so the inverse transform along kx is contiguous
+        self._h_hat_t = np.ascontiguousarray(np.asarray(value).T)
+
+    def pressure_field(self, t: float, rows: np.ndarray | None = None) -> np.ndarray:
+        """Pressure on the grid at time ``t``, or on the grid rows ``rows`` only.
+
+        Bitwise equal to ``irfft2(h_hat * cos(abs_k * t))``: the same
+        transforms in the same order, with the final real transform run
+        only on the requested rows.
+        """
+        spec = self._h_hat_t * np.cos(self._k_unique * t)[self._k_inverse]
+        z = ifft(spec, axis=1, norm="forward", overwrite_x=True).T
+        z = np.ascontiguousarray(z if rows is None else z[rows])
+        return irfft(z, self.size, axis=1, norm="forward") * self._norm
 
     def integrated_field(self, t: float) -> np.ndarray:
         k = self.abs_k
@@ -406,7 +434,9 @@ class SpectralPropagator:
         return irfft2(self.h_hat * prop, s=(self.size, self.size))
 
     def sample(self, field: np.ndarray) -> np.ndarray:
-        i0, j0, fx, fy = self._i0, self._j0, self._fx, self._fy
+        """Bilinear sensor values from the full field or from its ``self.rows``."""
+        i0 = self._i0 if field.shape[0] == self.size else self._r0
+        j0, fx, fy = self._j0, self._fx, self._fy
         return (
             (1 - fx) * (1 - fy) * field[i0, j0]
             + fx * (1 - fy) * field[i0 + 1, j0]
@@ -435,7 +465,7 @@ def spectral_forward(
     )
     out = np.empty((time_grid.count, sensors.n))
     for i, t in enumerate(time_grid.times):
-        out[i] = prop.sample(prop.pressure_field(t))
+        out[i] = prop.sample(prop.pressure_field(t, prop.rows))
     return WaveData(out, time_grid, sensors, kind="pressure")
 
 

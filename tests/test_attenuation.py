@@ -57,6 +57,22 @@ class TestComputeR1:
         neg = lags < -3 * tg.dt
         assert np.max(np.abs(r1.real[neg])) <= 2.5e-2 * np.max(np.abs(r1.real))
 
+    @pytest.mark.parametrize(
+        "lags",
+        [lag_grid(GRID_443), np.linspace(-1, 1, 11), np.linspace(-2.5, 4.0, 37)],
+        ids=["lag-grid-443", "linspace-11", "linspace-37"],
+    )
+    def test_factored_sum_matches_dense_oracle(self, lags):
+        omega_max = 0.95 * np.pi / GRID_443.dt
+        r1 = compute_r1(NSW, lags, omega_max=omega_max)
+        dense = direct_kernel_transforms(
+            lambda w: eval_kstar(NSW, w), orders=(1,), lags=lags,
+            omega_max=omega_max, num_nodes=2**14,
+        )[0]
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(r1.real - dense.real)) <= 1e-12 * scale
+        assert np.max(np.abs(r1.imag)) <= 1e-10 * scale
+
     def test_strong_law_rejected(self):
         with pytest.raises(ValueError):
             compute_r1(PowerLawModel(0.005, 2.0), np.linspace(-1, 1, 11))

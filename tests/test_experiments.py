@@ -196,6 +196,28 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="model.kind"):
             ScenarioConfig.from_dict({"model": {"kind": "nope"}})
 
+    @pytest.mark.parametrize(
+        "reg, field",
+        [
+            ({"kind": "tikhonov", "lam": 0}, "regularization.lam"),
+            ({"kind": "tikhonov", "lam": -1e-3}, "regularization.lam"),
+            ({"kind": "tikhonov"}, "regularization.lam"),
+            ({"kind": "tikhonov", "lam": "small"}, "regularization.lam"),
+            (0.0, "regularization.lam"),
+            ({"kind": "ridge", "lam": 1e-3}, "regularization.kind"),
+            ({"lam": 1e-3}, "regularization.kind"),
+        ],
+    )
+    def test_bad_regularization_named(self, reg, field):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig.from_dict({"regularization": reg})
+
+    def test_regularization_accepted_and_round_trips(self):
+        cfg = ScenarioConfig.from_dict({"regularization": {"kind": "tikhonov", "lam": 1e-3}})
+        assert cfg.regularization == 1e-3
+        assert ScenarioConfig.from_dict(cfg.to_dict()).regularization == 1e-3
+        assert ScenarioConfig.from_dict({"regularization": "none"}).regularization is None
+
     def test_unknown_geometry(self):
         with pytest.raises(ConfigError, match="geometry"):
             ScenarioConfig(geometry="helix")
@@ -229,6 +251,21 @@ class TestRunScenario:
             assert np.array_equal(a.reconstructions[name].values,
                                   b.reconstructions[name].values)
         assert a.errors == b.errors
+
+    def test_forward_cache_keys_on_phantom_raster(self):
+        # image_size sets the raster spacing, hence dx and the padded grid
+        from attenpat.experiments import _FORWARD_CACHE, simulate_scenario
+
+        small = dict(SMALL, forward_time_count=60, forward_sensor_count=64,
+                     inversion_sensor_count=64)
+        coarse = ScenarioConfig(model=ConstantModel(0.45), **dict(small, image_size=32))
+        fine = ScenarioConfig(model=ConstantModel(0.45), **dict(small, image_size=96))
+        _FORWARD_CACHE.clear()
+        simulate_scenario(coarse)
+        after_coarse, _, _ = simulate_scenario(fine)
+        _FORWARD_CACHE.clear()
+        fresh, _, _ = simulate_scenario(fine)
+        assert np.array_equal(after_coarse.values, fresh.values)
 
     def test_stage_failure_names_stage(self):
         # an image grid poking outside the circle fails inside back-projection

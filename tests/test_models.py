@@ -12,6 +12,7 @@ from attenpat.models import (
     k_infinity,
     model_from_spec,
     model_to_spec,
+    model_tag,
     validate_model,
 )
 
@@ -160,6 +161,38 @@ class TestModelValidation:
     def test_tabulated_needs_symmetric_grid(self):
         with pytest.raises(ValueError):
             TabulatedWeakModel(omega=np.linspace(0, 10, 11), kstar=np.zeros(11), k_inf=0.1)
+
+
+class TestModelTag:
+    def test_tabulated_tag_is_stable_across_processes(self):
+        import os
+        import subprocess
+        import sys
+
+        import attenpat
+
+        code = (
+            "import numpy as np\n"
+            "from attenpat.models import NswModel, TabulatedWeakModel, eval_kstar, "
+            "k_infinity, model_tag\n"
+            "nsw = NswModel(tau=0.11, tau_tilde=0.10)\n"
+            "w = np.linspace(-50, 50, 801)\n"
+            "print(model_tag(TabulatedWeakModel(omega=w, kstar=eval_kstar(nsw, w), "
+            "k_inf=k_infinity(nsw))))\n"
+        )
+        tags = set()
+        for seed in ("1", "2"):
+            src = os.path.dirname(os.path.dirname(os.path.abspath(attenpat.__file__)))
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True)
+            tags.add(out.stdout.strip())
+        assert tags == {model_tag(TABULATED)}
+
+    def test_tabulated_tag_tracks_the_table(self):
+        other = TabulatedWeakModel(omega=TABULATED.omega, kstar=TABULATED.kstar * 1.01,
+                                   k_inf=TABULATED.k_inf)
+        assert model_tag(other) != model_tag(TABULATED)
 
 
 class TestSpecRoundTrip:

@@ -222,6 +222,30 @@ class TestSpectralPropagator:
         assert f1.mean() == pytest.approx(0.5 * h_mean, rel=1e-9)
         assert f2.mean() == pytest.approx(2 * f1.mean(), rel=1e-9)
 
+    def test_full_field_matches_irfft2(self):
+        from scipy.fft import irfft2
+
+        prop = SpectralPropagator(_gaussian_phantom(), SensorArray.circle(1.2, 8),
+                                  duration=2.0, target_dx=0.02)
+        for t in (0.0, 0.37, 1.9):
+            expect = irfft2(prop.h_hat * np.cos(prop.abs_k * t), s=(prop.size, prop.size))
+            assert np.array_equal(prop.pressure_field(t), expect)
+            assert np.array_equal(prop.pressure_field(t, prop.rows), expect[prop.rows])
+
+    @pytest.mark.parametrize(
+        "sensors",
+        [SensorArray.circle(1.2, 24), SensorArray.line(3.0, 1.2, 24)],
+        ids=["circle", "line"],
+    )
+    def test_row_pruned_traces_equal_full_field_loop(self, sensors):
+        ph = _gaussian_phantom(sigma=0.1, n=64)
+        tg = TimeGrid.from_duration(2.0, 30)
+        wave = spectral_forward(ph, tg, sensors, target_dx=0.03)
+        prop = SpectralPropagator(ph, sensors, tg.duration, target_dx=0.03)
+        assert prop.rows.size < prop.size
+        expect = np.array([prop.sample(prop.pressure_field(t)) for t in tg.times])
+        assert np.array_equal(wave.values, expect)
+
     def test_sensor_outside_domain_rejected(self):
         ph = _gaussian_phantom()
         sensors = SensorArray.circle(1.2, 8)
