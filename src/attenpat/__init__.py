@@ -45,7 +45,6 @@ from .recon import (
     ImageGrid,
     ReconImage,
     reconstruct_compensated,
-    reconstruct_constant,
     reconstruct_full,
     reconstruct_naive,
     time_differentiate,
@@ -67,13 +66,11 @@ from .experiments import (
 from .gridio import (
     load_image,
     load_phantom,
-    load_system,
     load_wave,
     read_csv,
     read_grid,
     save_image,
     save_phantom,
-    save_system,
     save_wave,
     write_csv,
     write_grid,

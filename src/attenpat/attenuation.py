@@ -153,6 +153,15 @@ def _convolve_causal(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _kernel_rows(r1: np.ndarray, order: int, dt: float, causal: bool) -> list:
+    """``[r_1, .., r_order]`` by the convolution recursion started at ``r1``."""
+    conv = _convolve_causal if causal else _convolve_full
+    rows = [r1]
+    for _ in range(order - 1):
+        rows.append(conv(r1, rows[-1], dt))
+    return rows
+
+
 def compute_rk(
     r1: np.ndarray, order: int, dt: float, causal: bool = False
 ) -> np.ndarray:
@@ -163,11 +172,7 @@ def compute_rk(
     """
     if order < 2:
         raise ValueError(f"recursion defines orders >= 2, got {order!r}")
-    conv = _convolve_causal if causal else _convolve_full
-    rk = np.asarray(r1)
-    for _ in range(order - 1):
-        rk = conv(np.asarray(r1), rk, dt)
-    return rk
+    return _kernel_rows(np.asarray(r1), order, dt, causal)[-1]
 
 
 @dataclass(eq=False)
@@ -206,14 +211,9 @@ def kernel_series(
     r1c = compute_r1(model, lags, omega_max=effective_omega, num_nodes=num_nodes)
     scale = float(np.max(np.abs(r1c))) or 1.0
     residue = float(np.max(np.abs(r1c.imag))) / scale
-    r1 = r1c.real
-    rows = [r1]
-    conv = _convolve_causal if causal else _convolve_full
-    for _ in range(order - 1):
-        rows.append(conv(r1, rows[-1], time_grid.dt))
     return KernelSeries(
         lags=lags,
-        r=np.vstack(rows),
+        r=np.vstack(_kernel_rows(r1c.real, order, time_grid.dt, causal)),
         order=order,
         omega_max=effective_omega,
         num_nodes=num_nodes,

@@ -79,23 +79,6 @@ def _outdir(args) -> Path:
     return path
 
 
-def _apply_threads(threads: int | None):
-    if threads is None:
-        return None
-    if threads < 1:
-        raise ConfigError(f"--threads: must be >= 1, got {threads}")
-    # cap at the core count: BLAS oversubscription never helps and some
-    # builds crash when forced past the threads they were compiled for
-    threads = min(threads, os.cpu_count() or 1)
-    try:
-        import threadpoolctl
-
-        return threadpoolctl.threadpool_limits(limits=threads)
-    except ImportError:
-        print("warning: threadpoolctl not available, --threads ignored", file=sys.stderr)
-        return None
-
-
 def _cmd_validate_model(args) -> int:
     config = json.loads(Path(args.config).read_text()) if args.config else None
     if config is None:
@@ -191,8 +174,6 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON scenario/model configuration file")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--threads", type=int, default=None,
-                        help="limit BLAS/FFT thread pools")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate-model", parents=[common],
@@ -243,9 +224,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    limiter = None
     try:
-        limiter = _apply_threads(args.threads)
         return args.func(args)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -259,9 +238,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if limiter is not None:
-            limiter.unregister()
 
 
 if __name__ == "__main__":

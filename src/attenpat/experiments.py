@@ -73,13 +73,28 @@ class ScenarioStageError(RuntimeError):
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, runtimes: dict):
+    """Run one scenario stage: a failure becomes a ``ScenarioStageError``
+    naming the stage, a success records its wall time in ``runtimes``."""
+    t0 = time.perf_counter()
     try:
         yield
     except ScenarioStageError:
         raise
     except Exception as exc:
         raise ScenarioStageError(name, exc) from exc
+    runtimes[name] = time.perf_counter() - t0
+
+
+# nested config sections: key -> (ScenarioConfig field, converter)
+_CONFIG_SECTIONS = {
+    "geometry": {
+        "kind": ("geometry", str), "radius": ("radius", float),
+        "length": ("line_length", float), "standoff": ("standoff", float),
+        "count": ("inversion_sensor_count", int),
+    },
+    "noise": {"level": ("noise_level", float), "seed": ("seed", int)},
+}
 
 
 @dataclass
@@ -185,25 +200,20 @@ class ScenarioConfig:
                 kwargs["model"] = model_from_spec(d.pop("model"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        geometry = d.pop("geometry", None)
-        if geometry is not None:
-            if isinstance(geometry, dict):
-                kwargs["geometry"] = geometry.get("kind", "circle")
-                if "radius" in geometry:
-                    kwargs["radius"] = float(geometry["radius"])
-                if "length" in geometry:
-                    kwargs["line_length"] = float(geometry["length"])
-                if "standoff" in geometry:
-                    kwargs["standoff"] = float(geometry["standoff"])
-                if "count" in geometry:
-                    kwargs["inversion_sensor_count"] = int(geometry["count"])
-            else:
-                kwargs["geometry"] = str(geometry)
-        noise = d.pop("noise", None)
-        if noise is not None:
-            kwargs["noise_level"] = float(noise.get("level", 0.0))
-            if "seed" in noise:
-                kwargs["seed"] = int(noise["seed"])
+        for section, table in _CONFIG_SECTIONS.items():
+            spec = d.pop(section, None)
+            if spec is None:
+                continue
+            if not isinstance(spec, dict):
+                raise ConfigError(f"{section}: expected a mapping, got {spec!r}")
+            for key, value in spec.items():
+                if key not in table:
+                    raise ConfigError(f"{section}.{key}: unknown config field")
+                name, conv = table[key]
+                try:
+                    kwargs[name] = conv(value)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{section}.{key}: {exc}") from exc
         reg = d.pop("regularization", None)
         if reg is not None and reg != "none":
             if isinstance(reg, dict):
@@ -408,16 +418,11 @@ def simulate_scenario(config: ScenarioConfig):
     """Forward half of a scenario: attenuated pressure p^a on the forward
     grids, with noise already applied.  Returns ``(pa, phantom, runtimes)``."""
     runtimes = {}
-    with _stage("phantom"):
-        t0 = time.perf_counter()
+    with _stage("phantom", runtimes):
         phantom = config.build_phantom()
-        runtimes["phantom"] = time.perf_counter() - t0
-    with _stage("forward-propagation"):
-        t0 = time.perf_counter()
+    with _stage("forward-propagation", runtimes):
         p = _forward_pressure(config, phantom)
-        runtimes["forward-propagation"] = time.perf_counter() - t0
-    with _stage("forward-attenuation"):
-        t0 = time.perf_counter()
+    with _stage("forward-attenuation", runtimes):
         q = time_integrate(p)
         system = build_system(
             config.model,
@@ -428,11 +433,8 @@ def simulate_scenario(config: ScenarioConfig):
         )
         qa = apply_attenuation(system, q)
         pa = time_differentiate(qa)
-        runtimes["forward-attenuation"] = time.perf_counter() - t0
-    with _stage("noise"):
-        t0 = time.perf_counter()
+    with _stage("noise", runtimes):
         pa = add_noise(pa, config.noise_level, config.seed)
-        runtimes["noise"] = time.perf_counter() - t0
     return pa, phantom, runtimes
 
 
@@ -442,11 +444,11 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
     applicable method, and score against the rasterized ground truth."""
     runtimes = dict(runtimes or {})
     if phantom is None:
-        with _stage("phantom"):
+        with _stage("phantom", runtimes):
             phantom = config.build_phantom()
     grid = config.image_grid()
 
-    with _stage("ground-truth"):
+    with _stage("ground-truth", runtimes):
         axes = grid.axes()
         X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
         truth = ReconImage(
@@ -454,8 +456,7 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
             provenance={"phantom": config.phantom},
         )
 
-    with _stage("resample"):
-        t0 = time.perf_counter()
+    with _stage("resample", runtimes):
         inv_tg = config.inversion_time_grid()
         inv_sensors = config.sensors(config.inversion_sensor_count)
         same = (
@@ -463,22 +464,16 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
             and inv_sensors.kind == pa.sensors.kind
         )
         pa_inv = pa if same else resample_data(pa, inv_tg, inv_sensors)
-        runtimes["resample"] = time.perf_counter() - t0
 
     recons: dict = {}
-    with _stage("reconstruct-naive"):
-        t0 = time.perf_counter()
+    with _stage("reconstruct-naive", runtimes):
         recons["naive"] = reconstruct_naive(pa_inv, grid)
-        runtimes["reconstruct-naive"] = time.perf_counter() - t0
     if "compensated" in config.methods():
-        with _stage("reconstruct-compensated"):
-            t0 = time.perf_counter()
+        with _stage("reconstruct-compensated", runtimes):
             recons["compensated"] = reconstruct_compensated(
                 pa_inv, k_infinity(config.model), grid
             )
-            runtimes["reconstruct-compensated"] = time.perf_counter() - t0
-    with _stage("reconstruct-full"):
-        t0 = time.perf_counter()
+    with _stage("reconstruct-full", runtimes):
         system = build_system(
             config.model,
             inv_tg,
@@ -489,9 +484,8 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
         recons["full"] = reconstruct_full(
             pa_inv, system, grid, regularization=config.regularization
         )
-        runtimes["reconstruct-full"] = time.perf_counter() - t0
 
-    with _stage("metrics"):
+    with _stage("metrics", runtimes):
         errors = {name: rel_l2_error(img, truth) for name, img in recons.items()}
         sections = {"truth": cross_section(truth, "x", 0.0)}
         for name, img in recons.items():

@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .attenuation import AttenuationSystem
 from .recon import ImageGrid, ReconImage
 from .wavefield import Ellipse, Phantom, TimeGrid, WaveData, make_sensors
 
@@ -39,8 +38,6 @@ __all__ = [
     "load_image",
     "save_phantom",
     "load_phantom",
-    "save_system",
-    "load_system",
     "write_image_pgm",
     "write_csv",
     "read_csv",
@@ -211,49 +208,6 @@ def load_phantom(path) -> Phantom:
         origin=data.origin,
         ellipses=ellipses,
     )
-
-
-def save_system(path, system: AttenuationSystem) -> None:
-    """Cache a dense attenuation system; the fingerprint in the sidecar keys
-    the cache entry."""
-    dt = system.time_grid.dt
-    write_grid(path, system.matrix, kind="matrix", spacing=(dt, dt), origin=(dt, dt))
-    meta = {
-        "type": "system",
-        "fingerprint": system.fingerprint,
-        "model_tag": system.model_tag,
-        "k_inf": system.k_inf,
-        "order": system.order,
-        "omega_max": system.omega_max,
-        "num_nodes": system.num_nodes,
-        "causal": system.causal,
-        "time_count": system.time_grid.count,
-        "dt": dt,
-    }
-    _sidecar(path).write_text(json.dumps(meta, indent=1, sort_keys=True))
-
-
-def load_system(path, expected_fingerprint: str | None = None) -> AttenuationSystem:
-    data = read_grid(path)
-    meta = json.loads(_sidecar(path).read_text())
-    if meta.get("type") != "system":
-        raise ValueError(f"{path}: sidecar does not describe an attenuation system")
-    system = AttenuationSystem(
-        matrix=data.values,
-        time_grid=TimeGrid(dt=float(meta["dt"]), count=int(meta["time_count"])),
-        model_tag=meta["model_tag"],
-        k_inf=float(meta["k_inf"]),
-        order=int(meta["order"]),
-        omega_max=float(meta["omega_max"]),
-        num_nodes=int(meta["num_nodes"]),
-        causal=bool(meta["causal"]),
-    )
-    if expected_fingerprint is not None and system.fingerprint != expected_fingerprint:
-        raise ValueError(
-            f"{path}: cached system fingerprint {system.fingerprint!r} does not "
-            f"match expected {expected_fingerprint!r}"
-        )
-    return system
 
 
 def _jsonable(obj):

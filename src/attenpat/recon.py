@@ -36,7 +36,6 @@ __all__ = [
     "ubp_2d",
     "ubp_3d_spherical",
     "reconstruct_naive",
-    "reconstruct_constant",
     "reconstruct_compensated",
     "reconstruct_full",
 ]
@@ -198,7 +197,9 @@ def ubp_2d(
         Steps of the substituted inner quadrature (default half the time
         step) and of the tabulated distance axis (default a quarter; the
         tabulated profiles have square-root kinks at wavefront distances,
-        so the distance axis needs the finer sampling).
+        so the distance axis needs the finer sampling).  The distance
+        table holds at least 32 nodes and is never coarser than
+        ``dist_step``.
     """
     if wave.kind not in ("pressure", "attenuated"):
         raise ValueError(f"back-projection expects pressure-like data, got {wave.kind!r}")
@@ -225,7 +226,7 @@ def ubp_2d(
             np.zeros(grid.shape), grid, method,
             provenance={"geometry": sensors.kind, "du": du, "dist_step": dist_step},
         )
-    n_d = int(np.clip(np.ceil((d_hi - d_lo) / dist_step) + 1, 32, 4096))
+    n_d = int(max(np.ceil((d_hi - d_lo) / dist_step) + 1, 32))
     dist_nodes = np.linspace(d_lo, d_hi, n_d)
 
     weights = _inner_weight_matrix(tg.times, dist_nodes, tg.duration, du)
@@ -307,31 +308,19 @@ def reconstruct_naive(pa: WaveData, grid: ImageGrid, **ubp_kwargs) -> ReconImage
     return ubp_2d(pa, grid, method="naive-ubp", **ubp_kwargs)
 
 
-def _rescale_and_backproject(
-    pa: WaveData, k_inf: float, grid: ImageGrid, method: str, **ubp_kwargs
+def reconstruct_compensated(
+    pa: WaveData, k_inf: float, grid: ImageGrid, **ubp_kwargs
 ) -> ReconImage:
+    """Exponential compensation: rescale the integrated data by
+    ``exp(k_inf t)``, differentiate, back-project.  Exact for a constant
+    law; for a non-constant weak law it corrects ``k_inf`` while
+    neglecting ``k_star``."""
     qa = time_integrate(pa)
     q = qa.replace_values(
         np.exp(k_inf * qa.time_grid.times)[:, None] * qa.values, kind="integrated"
     )
     p = time_differentiate(q)
-    return ubp_2d(p, grid, method=method, **ubp_kwargs)
-
-
-def reconstruct_constant(
-    pa: WaveData, k_inf: float, grid: ImageGrid, **ubp_kwargs
-) -> ReconImage:
-    """Exact reconstruction for a constantly attenuating medium: rescale the
-    integrated data by ``exp(k_inf t)``, differentiate, back-project."""
-    return _rescale_and_backproject(pa, k_inf, grid, "const-atten", **ubp_kwargs)
-
-
-def reconstruct_compensated(
-    pa: WaveData, k_inf: float, grid: ImageGrid, **ubp_kwargs
-) -> ReconImage:
-    """The same exponential compensation applied to a non-constant weak law,
-    i.e. correcting ``k_inf`` while neglecting ``k_star``."""
-    return _rescale_and_backproject(pa, k_inf, grid, "compensated", **ubp_kwargs)
+    return ubp_2d(p, grid, method="compensated", **ubp_kwargs)
 
 
 def reconstruct_full(

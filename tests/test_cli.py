@@ -131,12 +131,17 @@ class TestPipelineCommands:
         assert main(["simulate", "--config", cfg]) == 0
         assert (tmp_path / "envout" / "data_forward.atw").exists()
 
-    def test_threads_flag(self, tmp_path):
+    def test_threads_flag_is_usage_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, SMALL_SCENARIO)
         out = tmp_path / "threads"
-        assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "4"]) == 0
-        assert (out / "data_forward.atw").exists()
-        assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "0"]) == 1
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "4"]) == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not (out / "data_forward.atw").exists()
+
+    def test_scalar_noise_section_is_config_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, dict(SMALL_SCENARIO, noise=0.2))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "noise: expected a mapping" in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path):
         payload = dict(SMALL_SCENARIO)

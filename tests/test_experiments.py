@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -218,6 +222,29 @@ class TestScenarioConfig:
         assert ScenarioConfig.from_dict(cfg.to_dict()).regularization == 1e-3
         assert ScenarioConfig.from_dict({"regularization": "none"}).regularization is None
 
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"noise": 0.2}, "noise"),
+            ({"noise": {"levle": 0.2}}, "noise.levle"),
+            ({"noise": {"level": "loud"}}, "noise.level"),
+            ({"geometry": "circle"}, "geometry"),
+            ({"geometry": {"kind": "circle", "radus": 2.0}}, "geometry.radus"),
+            ({"geometry": {"kind": "circle", "radius": None}}, "geometry.radius"),
+        ],
+    )
+    def test_bad_section_named(self, raw, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}:"):
+            ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).parent.parent / "configs").glob("*.json")),
+        ids=lambda p: p.name,
+    )
+    def test_shipped_configs_load_and_round_trip(self, path):
+        cfg = ScenarioConfig.from_dict(json.loads(path.read_text()))
+        assert ScenarioConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
     def test_unknown_geometry(self):
         with pytest.raises(ConfigError, match="geometry"):
             ScenarioConfig(geometry="helix")
@@ -234,6 +261,11 @@ class TestRunScenario:
         assert res.data_forward.values.shape == (180, 256)
         assert set(res.cross_sections) == {"truth", "naive", "compensated", "full"}
         assert res.errors["full"] < res.errors["naive"]
+        assert set(res.runtimes) == {
+            "phantom", "forward-propagation", "forward-attenuation", "noise",
+            "ground-truth", "resample", "reconstruct-naive",
+            "reconstruct-compensated", "reconstruct-full", "metrics",
+        }
         assert all(t >= 0 for t in res.runtimes.values())
 
     def test_constant_scenario_skips_compensated(self):

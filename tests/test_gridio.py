@@ -3,23 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from attenpat.attenuation import build_system
 from attenpat.gridio import (
     read_csv,
     read_grid,
     load_image,
     load_phantom,
-    load_system,
     load_wave,
     save_image,
     save_phantom,
-    save_system,
     save_wave,
     write_csv,
     write_grid,
     write_image_pgm,
 )
-from attenpat.models import NswModel
 from attenpat.recon import ImageGrid, ReconImage
 from attenpat.wavefield import SensorArray, TimeGrid, WaveData, make_shepp_logan
 
@@ -106,24 +102,6 @@ class TestPhantomAndSystemFiles:
         assert len(back.ellipses) == 10
         x = np.linspace(-0.7, 0.7, 33)
         assert np.array_equal(back.evaluate(x, x), ph.evaluate(x, x))
-
-    def test_system_cache_round_trip(self, tmp_path):
-        tg = TimeGrid.from_duration(6.0, 60)
-        system = build_system(NswModel(0.11, 0.10), tg, order=4)
-        path = tmp_path / "sys.atw"
-        save_system(path, system)
-        back = load_system(path, expected_fingerprint=system.fingerprint)
-        assert np.array_equal(back.matrix, system.matrix)
-        assert back.fingerprint == system.fingerprint
-        assert back.time_grid == tg
-
-    def test_system_fingerprint_mismatch_rejected(self, tmp_path):
-        tg = TimeGrid.from_duration(6.0, 40)
-        system = build_system(NswModel(0.11, 0.10), tg, order=2)
-        path = tmp_path / "sys.atw"
-        save_system(path, system)
-        with pytest.raises(ValueError, match="fingerprint"):
-            load_system(path, expected_fingerprint="something-else")
 
 
 class TestPgm:

@@ -7,7 +7,6 @@ from attenpat.recon import (
     ImageGrid,
     ReconImage,
     reconstruct_compensated,
-    reconstruct_constant,
     reconstruct_full,
     reconstruct_naive,
     time_differentiate,
@@ -149,6 +148,27 @@ class TestUbp2d:
         rel = np.linalg.norm(fine.values - coarse.values) / np.linalg.norm(fine.values)
         assert rel <= 1e-3
 
+    def test_fine_dist_step_honoured(self, monkeypatch):
+        # a step that needs more than 4096 distance nodes is not coarsened
+        import attenpat.recon as recon
+
+        tabulated = {}
+        inner = recon._inner_weight_matrix
+
+        def spy(times, dist_nodes, duration, du):
+            tabulated["nodes"] = dist_nodes
+            return inner(times, dist_nodes, duration, du)
+
+        monkeypatch.setattr(recon, "_inner_weight_matrix", spy)
+        tg = TimeGrid.from_duration(6.0, 100)
+        sensors = SensorArray.circle(1.7, 16)
+        step = 4e-4
+        img = ubp_2d(_wave(np.ones((100, 16)), tg, sensors), ImageGrid.centered(8, 1.0),
+                     dist_step=step)
+        assert len(tabulated["nodes"]) > 4096
+        assert np.diff(tabulated["nodes"]).max() <= step
+        assert img.provenance["dist_step"] == step
+
     def test_image_point_outside_circle_rejected(self):
         tg = TimeGrid.from_duration(6.0, 64)
         sensors = SensorArray.circle(1.7, 16)
@@ -262,7 +282,7 @@ class TestPipelines:
     def test_constant_zero_attenuation_equals_naive(self):
         p, grid, truth = _disk_setup(n_t=160, n_sensors=128, image_size=32)
         base = reconstruct_naive(p.replace_values(p.values, kind="attenuated"), grid)
-        zero = reconstruct_constant(p.replace_values(p.values, kind="attenuated"), 0.0, grid)
+        zero = reconstruct_compensated(p.replace_values(p.values, kind="attenuated"), 0.0, grid)
         assert np.max(np.abs(base.values - zero.values)) <= 1e-10 * np.abs(base.values).max()
 
     def test_full_with_identity_system_equals_naive(self):
@@ -277,7 +297,7 @@ class TestPipelines:
     def test_constant_full_and_constant_route_agree(self):
         model = ConstantModel(0.45)
         p, pa, system, grid, truth = self._attenuated_disk(model)
-        img_const = reconstruct_constant(pa, 0.45, grid)
+        img_const = reconstruct_compensated(pa, 0.45, grid)
         img_full = reconstruct_full(pa, system, grid)
         scale = np.abs(img_full.values).max()
         assert np.max(np.abs(img_const.values - img_full.values)) <= 1e-8 * scale
@@ -286,18 +306,10 @@ class TestPipelines:
         model = ConstantModel(0.45)
         p, pa, system, grid, truth = self._attenuated_disk(model)
         e_lossless = _rel(reconstruct_naive(p, grid).values, truth)
-        e_const = _rel(reconstruct_constant(pa, 0.45, grid).values, truth)
+        e_const = _rel(reconstruct_compensated(pa, 0.45, grid).values, truth)
         e_naive = _rel(reconstruct_naive(pa, grid).values, truth)
         assert e_const <= 1.25 * e_lossless
         assert e_naive > e_const
-
-    def test_compensated_equals_constant_when_kstar_zero(self):
-        model = ConstantModel(0.45)
-        p, pa, system, grid, truth = self._attenuated_disk(model)
-        a = reconstruct_constant(pa, 0.45, grid)
-        b = reconstruct_compensated(pa, 0.45, grid)
-        assert np.array_equal(a.values, b.values)
-        assert a.method == "const-atten" and b.method == "compensated"
 
     def test_nsw_full_beats_naive(self):
         model = NswModel(0.11, 0.10)
