@@ -96,6 +96,13 @@ _CONFIG_SECTIONS = {
     "noise": {"level": ("noise_level", float), "seed": ("seed", int)},
 }
 
+# phantom kind -> the fields it reads besides kind, grid_size and half_extent
+_PHANTOM_FIELDS = {
+    "shepp-logan": (),
+    "disk": ("radius", "intensity"),
+    "ellipses": ("items",),
+}
+
 
 @dataclass
 class ScenarioConfig:
@@ -128,6 +135,12 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.geometry not in ("circle", "line"):
             raise ConfigError(f"geometry: unknown value {self.geometry!r}")
+        kind = self.phantom.get("kind", "shepp-logan")
+        if kind not in _PHANTOM_FIELDS:
+            raise ConfigError(f"phantom.kind: unknown value {kind!r}")
+        for key in self.phantom:
+            if key not in ("kind", "grid_size", "half_extent", *_PHANTOM_FIELDS[kind]):
+                raise ConfigError(f"phantom.{key}: unknown field for kind {kind!r}")
         if self.duration is None:
             self.duration = 6.0 if self.geometry == "circle" else 8.0
         if self.noise_level < 0:
@@ -165,21 +178,19 @@ class ScenarioConfig:
             return disk_phantom(
                 float(spec.get("radius", 0.4)), float(spec.get("intensity", 1.0)), n, half
             )
-        if kind == "ellipses":
-            items = spec.get("items")
-            if not items:
-                raise ConfigError("phantom.items: missing for kind 'ellipses'")
-            ells = [
-                Ellipse(
-                    intensity=float(e["intensity"]),
-                    center=(float(e["center"][0]), float(e["center"][1])),
-                    axes=(float(e["axes"][0]), float(e["axes"][1])),
-                    angle_deg=float(e.get("angle_deg", 0.0)),
-                )
-                for e in items
-            ]
-            return phantom_from_ellipses(ells, n, half)
-        raise ConfigError(f"phantom.kind: unknown value {kind!r}")
+        items = spec.get("items")  # kind "ellipses", the only other one __post_init__ accepts
+        if not items:
+            raise ConfigError("phantom.items: missing for kind 'ellipses'")
+        ells = [
+            Ellipse(
+                intensity=float(e["intensity"]),
+                center=(float(e["center"][0]), float(e["center"][1])),
+                axes=(float(e["axes"][0]), float(e["axes"][1])),
+                angle_deg=float(e.get("angle_deg", 0.0)),
+            )
+            for e in items
+        ]
+        return phantom_from_ellipses(ells, n, half)
 
     def methods(self) -> list:
         out = ["naive"]

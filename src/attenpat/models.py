@@ -345,24 +345,24 @@ def model_from_spec(spec: dict) -> AttenuationModel:
         "constant": (ConstantModel, ("k_inf",)),
         "nsw": (NswModel, ("tau", "tau_tilde")),
         "power-law": (PowerLawModel, ("amplitude", "exponent")),
+        "tabulated": (TabulatedWeakModel, ("omega", "kstar_real", "kstar_imag", "k_inf")),
     }
-    if kind == "tabulated":
-        fields = ("omega", "kstar_real", "kstar_imag", "k_inf")
-        missing = [f for f in fields if f not in spec]
-        if missing:
-            raise ValueError(f"model.{missing[0]}: missing for kind 'tabulated'")
-        return TabulatedWeakModel(
-            omega=np.asarray(spec["omega"], dtype=float),
-            kstar=np.asarray(spec["kstar_real"], dtype=float)
-            + 1j * np.asarray(spec["kstar_imag"], dtype=float),
-            k_inf=float(spec["k_inf"]),
-        )
     if kind not in known:
         raise ValueError(f"model.kind: unknown value {kind!r}")
     cls, fields = known[kind]
     missing = [f for f in fields if f not in spec]
     if missing:
         raise ValueError(f"model.{missing[0]}: missing for kind {kind!r}")
+    unknown = [k for k in spec if k != "kind" and k not in fields]
+    if unknown:
+        raise ValueError(f"model.{unknown[0]}: unknown field for kind {kind!r}")
+    if kind == "tabulated":
+        return TabulatedWeakModel(
+            omega=np.asarray(spec["omega"], dtype=float),
+            kstar=np.asarray(spec["kstar_real"], dtype=float)
+            + 1j * np.asarray(spec["kstar_imag"], dtype=float),
+            k_inf=float(spec["k_inf"]),
+        )
     try:
         return cls(**{f: float(spec[f]) for f in fields})
     except (TypeError, ValueError) as exc:

@@ -127,6 +127,10 @@ def time_differentiate(wave: WaveData) -> WaveData:
 
 def _dt_ratio_traces(wave: WaveData) -> np.ndarray:
     """d/dt of (trace / t): central differences interior, one-sided ends."""
+    if wave.time_grid.count < 2:
+        raise ValueError(
+            f"need at least two time samples to back-project, got {wave.time_grid.count}"
+        )
     t = wave.time_grid.times[:, None]
     g = wave.values / t
     dt = wave.time_grid.dt
@@ -156,7 +160,7 @@ def _inner_weight_matrix(
     """Weights W with ``Phi(d_a) = sum_i W[a, i] * g(t_i)`` realizing the
     u-substituted trapezoid rule on the piecewise-linear interpolant of g."""
     nt = len(times)
-    dt = times[1] - times[0] if nt > 1 else duration
+    dt = times[1] - times[0]
     w = np.zeros((len(dist_nodes), nt))
     for a, d in enumerate(dist_nodes):
         usq = duration * duration - d * d
@@ -230,18 +234,31 @@ def ubp_2d(
     dist_nodes = np.linspace(d_lo, d_hi, n_d)
 
     weights = _inner_weight_matrix(tg.times, dist_nodes, tg.duration, du)
-    phi = weights @ g  # (n_d, n_sensors)
+    phi = g.T @ weights.T  # (n_sensors, n_d): each sensor's profile is contiguous
 
-    img = np.zeros(pts.shape[0])
+    # The grid is a tensor product, so per sensor the distance and n.(xi - x)
+    # separate into x and y parts, and the uniform distance axis turns
+    # np.interp's search into index arithmetic (same edges: phi[0] below
+    # d_lo, phi[-1] at d_hi, zero beyond).
+    ax, ay = grid.axes()
+    inv_step = (n_d - 1) / (d_hi - d_lo)
+    img = np.zeros(grid.shape)
     for j in range(sensors.n):
-        diff = sensors.points[j] - pts
-        d = np.hypot(diff[:, 0], diff[:, 1])
-        val = np.interp(d, dist_nodes, phi[:, j], left=phi[0, j], right=0.0)
-        ndot = diff @ sensors.normals[j]
-        img += sensors.weights[j] * val * ndot
+        dx = sensors.points[j, 0] - ax
+        dy = sensors.points[j, 1] - ay
+        d = np.sqrt(np.add.outer(dx * dx, dy * dy))
+        pos = np.maximum((d - d_lo) * inv_step, 0.0)
+        idx = np.minimum(pos.astype(np.intp), n_d - 2)
+        val = np.diff(phi[j]).take(idx)
+        val *= pos - idx
+        val += phi[j].take(idx)
+        val[d > d_hi] = 0.0
+        nx, ny = sensors.weights[j] * sensors.normals[j]
+        val *= np.add.outer(nx * dx, ny * dy)
+        img += val
     img *= -4.0 / omega0
     return ReconImage(
-        img.reshape(grid.shape), grid, method,
+        img, grid, method,
         provenance={"geometry": sensors.kind, "du": du, "dist_step": dist_step},
     )
 

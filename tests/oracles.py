@@ -57,18 +57,25 @@ def attenuated_series_loop(r_rows, times, dt, k_inf, q_column):
     return qa
 
 
-def brute_force_ubp_2d(wave, grid, du):
-    """Per-pixel transcription of the 2-D universal back-projection with the
-    u-substituted trapezoid rule, bypassing the library's tabulated inner
-    transform entirely."""
+def _dt_ratio(wave):
+    """d/dt of (trace / t) by central differences, one-sided at the ends."""
     times = wave.time_grid.times
-    duration = wave.time_grid.duration
     dt = wave.time_grid.dt
     ratio = wave.values / times[:, None]
     g = np.empty_like(ratio)
     g[1:-1] = (ratio[2:] - ratio[:-2]) / (2 * dt)
     g[0] = (ratio[1] - ratio[0]) / dt
     g[-1] = (ratio[-1] - ratio[-2]) / dt
+    return g
+
+
+def brute_force_ubp_2d(wave, grid, du):
+    """Per-pixel transcription of the 2-D universal back-projection with the
+    u-substituted trapezoid rule, bypassing the library's tabulated inner
+    transform entirely."""
+    times = wave.time_grid.times
+    duration = wave.time_grid.duration
+    g = _dt_ratio(wave)
 
     sensors = wave.sensors
     omega0 = 4 * np.pi if sensors.kind == "circle" else 2 * np.pi
@@ -88,6 +95,25 @@ def brute_force_ubp_2d(wave, grid, du):
             inner = np.trapezoid(integrand, u)
             acc += sensors.weights[j] * inner * float(diff @ sensors.normals[j])
         img[ip] = acc
+    return (-4.0 / omega0) * img.reshape(grid.shape)
+
+
+def interp_ubp_2d(wave, grid, dist_nodes, weights):
+    """2-D universal back-projection from a given distance table: the inner
+    transform ``Phi = weights @ g`` on ``dist_nodes``, then one ``np.interp``
+    per sensor over the flattened pixel centers (``Phi[0]`` below the table,
+    zero beyond it)."""
+    phi = weights @ _dt_ratio(wave)  # (n_d, n_sensors)
+    sensors = wave.sensors
+    omega0 = 4 * np.pi if sensors.kind == "circle" else 2 * np.pi
+    pts = grid.points()
+    img = np.zeros(pts.shape[0])
+    for j in range(sensors.n):
+        diff = sensors.points[j] - pts
+        d = np.hypot(diff[:, 0], diff[:, 1])
+        val = np.interp(d, dist_nodes, phi[:, j], left=phi[0, j], right=0.0)
+        ndot = diff @ sensors.normals[j]
+        img += sensors.weights[j] * val * ndot
     return (-4.0 / omega0) * img.reshape(grid.shape)
 
 

@@ -231,6 +231,13 @@ class TestScenarioConfig:
             ({"geometry": "circle"}, "geometry"),
             ({"geometry": {"kind": "circle", "radus": 2.0}}, "geometry.radus"),
             ({"geometry": {"kind": "circle", "radius": None}}, "geometry.radius"),
+            ({"phantom": {"kind": "disk", "radus": 0.1}}, "phantom.radus"),
+            ({"phantom": {"grid_sise": 64}}, "phantom.grid_sise"),
+            ({"phantom": {"kind": "shepp-logan", "radius": 0.3}}, "phantom.radius"),
+            ({"phantom": {"kind": "ellipses", "items": [], "intensity": 1.0}}, "phantom.intensity"),
+            ({"phantom": {"kind": "star"}}, "phantom.kind"),
+            ({"model": {"kind": "nsw", "tau": 0.11, "tau_tilde": 0.1, "tauu": 3}}, "model.tauu"),
+            ({"model": {"kind": "constant", "k_inf": 0.45, "tau": 0.1}}, "model.tau"),
         ],
     )
     def test_bad_section_named(self, raw, field):

@@ -169,6 +169,51 @@ class TestUbp2d:
         assert np.diff(tabulated["nodes"]).max() <= step
         assert img.provenance["dist_step"] == step
 
+    @pytest.mark.parametrize(
+        "duration, sensors, edge",
+        [
+            (6.0, SensorArray.circle(1.7, 48), None),
+            # the recording window cuts the distance table: pixels beyond it read 0
+            (4.0, SensorArray.line(10.2, 1.7, 64), "right"),
+            # sensors within dt of the grid: d_lo is clamped to dt, nearer pixels read phi[0]
+            (6.0, SensorArray.circle(1.45, 48), "left"),
+        ],
+        ids=["circle", "line-cut-by-duration", "circle-d_lo-clamped"],
+    )
+    def test_matches_interp_reference(self, monkeypatch, duration, sensors, edge):
+        import attenpat.recon as recon
+        from oracles import interp_ubp_2d
+
+        table = {}
+        inner = recon._inner_weight_matrix
+
+        def spy(times, dist_nodes, *rest):
+            table["nodes"] = dist_nodes
+            table["weights"] = inner(times, dist_nodes, *rest)
+            return table["weights"]
+
+        monkeypatch.setattr(recon, "_inner_weight_matrix", spy)
+        tg = TimeGrid.from_duration(duration, 50)
+        grid = ImageGrid.centered(24, 1.0)
+        rng = np.random.default_rng(17)
+        wave = _wave(rng.standard_normal((50, sensors.n)), tg, sensors)
+        img = ubp_2d(wave, grid).values
+        ref = interp_ubp_2d(wave, grid, table["nodes"], table["weights"])
+        assert np.max(np.abs(img - ref)) <= 1e-12 * np.abs(ref).max()
+
+        d = np.linalg.norm(sensors.points[:, None] - grid.points()[None], axis=2)
+        if edge == "right":
+            assert np.any(d > table["nodes"][-1])
+        elif edge == "left":
+            assert table["nodes"][0] == tg.dt
+            assert np.any(d < tg.dt)
+
+    def test_one_time_sample_rejected(self):
+        tg = TimeGrid.from_duration(6.0, 1)
+        sensors = SensorArray.circle(1.7, 8)
+        with pytest.raises(ValueError, match="two time samples.*got 1"):
+            ubp_2d(_wave(np.ones((1, 8)), tg, sensors), ImageGrid.centered(8, 1.0))
+
     def test_image_point_outside_circle_rejected(self):
         tg = TimeGrid.from_duration(6.0, 64)
         sensors = SensorArray.circle(1.7, 16)
