@@ -37,7 +37,6 @@ from .attenuation import (
     apply_attenuation,
     build_system,
     compute_r1,
-    compute_rk,
     invert_attenuation,
     kernel_series,
 )
@@ -65,12 +64,10 @@ from .experiments import (
 )
 from .gridio import (
     load_image,
-    load_phantom,
     load_wave,
     read_csv,
     read_grid,
     save_image,
-    save_phantom,
     save_wave,
     write_csv,
     write_grid,

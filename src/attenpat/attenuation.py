@@ -45,7 +45,6 @@ __all__ = [
     "AttenuationSystem",
     "lag_grid",
     "compute_r1",
-    "compute_rk",
     "kernel_series",
     "build_system",
     "apply_attenuation",
@@ -138,41 +137,14 @@ def _convolve_full(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     return full[lo : lo + n] * (dt / SQRT_2PI)
 
 
-def _convolve_causal(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
-    """Causal sum ``(dt/sqrt(2 pi)) * sum_{m=1..i} a(t_m) b(t_i - t_m)`` on the
-    nonnegative-lag part; negative lags are zeroed (pseudocode-compatible
-    mode)."""
-    n = len(a)
-    n0 = (n - 1) // 2
-    ap = a[n0:].copy()
-    bp = b[n0:].copy()
-    ap[0] = 0.0  # the causal sum starts at m = 1, lag grid starts at 0
-    pos = np.convolve(ap, bp)[: len(ap)] * (dt / SQRT_2PI)
-    out = np.zeros_like(a)
-    out[n0:] = pos
-    return out
-
-
-def _kernel_rows(r1: np.ndarray, order: int, dt: float, causal: bool) -> list:
-    """``[r_1, .., r_order]`` by the convolution recursion started at ``r1``."""
-    conv = _convolve_causal if causal else _convolve_full
+def _kernel_rows(r1: np.ndarray, order: int, dt: float) -> list:
+    """``[r_1, .., r_order]`` by the convolution recursion
+    ``r_k = (r_1 * r_{k-1}) / sqrt(2 pi)`` started at ``r1``, which must
+    live on a symmetric lag grid with spacing ``dt``."""
     rows = [r1]
     for _ in range(order - 1):
-        rows.append(conv(r1, rows[-1], dt))
+        rows.append(_convolve_full(r1, rows[-1], dt))
     return rows
-
-
-def compute_rk(
-    r1: np.ndarray, order: int, dt: float, causal: bool = False
-) -> np.ndarray:
-    """Kernel of order ``order`` from the convolution recursion
-    ``r_k = (r_1 * r_{k-1}) / sqrt(2 pi)`` started at ``r1``.
-
-    ``r1`` must live on a symmetric lag grid with spacing ``dt``.
-    """
-    if order < 2:
-        raise ValueError(f"recursion defines orders >= 2, got {order!r}")
-    return _kernel_rows(np.asarray(r1), order, dt, causal)[-1]
 
 
 @dataclass(eq=False)
@@ -181,10 +153,8 @@ class KernelSeries:
 
     lags: np.ndarray
     r: np.ndarray  # (order, 2*count - 1), real
-    order: int
     omega_max: float
     num_nodes: int
-    causal: bool
     imag_residue: float
 
     def at_lag_matrix(self, k: int, count: int) -> np.ndarray:
@@ -199,7 +169,6 @@ def kernel_series(
     order: int = 10,
     omega_max: float = DEFAULT_OMEGA_MAX,
     num_nodes: int = DEFAULT_QUAD_NODES,
-    causal: bool = False,
 ) -> KernelSeries:
     """Tabulate ``r_1 .. r_order`` for a weak law on the lag grid of
     ``time_grid``, with the quadrature band capped below the lag Nyquist
@@ -213,11 +182,9 @@ def kernel_series(
     residue = float(np.max(np.abs(r1c.imag))) / scale
     return KernelSeries(
         lags=lags,
-        r=np.vstack(_kernel_rows(r1c.real, order, time_grid.dt, causal)),
-        order=order,
+        r=np.vstack(_kernel_rows(r1c.real, order, time_grid.dt)),
         omega_max=effective_omega,
         num_nodes=num_nodes,
-        causal=causal,
         imag_residue=residue,
     )
 
@@ -234,7 +201,6 @@ class AttenuationSystem:
     order: int
     omega_max: float
     num_nodes: int
-    causal: bool = False
     _lu: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -242,7 +208,6 @@ class AttenuationSystem:
         return (
             f"{self.model_tag}|nt={self.time_grid.count}|dt={self.time_grid.dt:.17g}"
             f"|K={self.order}|omega={self.omega_max:.17g}x{self.num_nodes}"
-            f"|causal={int(self.causal)}"
         )
 
     def lu(self) -> tuple:
@@ -264,7 +229,6 @@ def build_system(
     order: int = 10,
     omega_max: float = DEFAULT_OMEGA_MAX,
     num_nodes: int = DEFAULT_QUAD_NODES,
-    causal: bool = False,
 ) -> AttenuationSystem:
     """Assemble the dense attenuation system for a weak law.
 
@@ -287,8 +251,7 @@ def build_system(
         series_omega, series_nodes = omega_max, num_nodes
     else:
         series = kernel_series(
-            model, time_grid, order=order, omega_max=omega_max,
-            num_nodes=num_nodes, causal=causal,
+            model, time_grid, order=order, omega_max=omega_max, num_nodes=num_nodes
         )
         if series.imag_residue > 1e-10:
             raise FloatingPointError(
@@ -319,7 +282,6 @@ def build_system(
         order=order,
         omega_max=series_omega,
         num_nodes=series_nodes,
-        causal=causal,
     )
 
 

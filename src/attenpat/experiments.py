@@ -86,15 +86,34 @@ def _stage(name: str, runtimes: dict):
     runtimes[name] = time.perf_counter() - t0
 
 
+def _int(value) -> int:
+    """Strict ``int``: a JSON integer or an integral float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 # nested config sections: key -> (ScenarioConfig field, converter)
 _CONFIG_SECTIONS = {
     "geometry": {
         "kind": ("geometry", str), "radius": ("radius", float),
         "length": ("line_length", float), "standoff": ("standoff", float),
-        "count": ("inversion_sensor_count", int),
+        "count": ("inversion_sensor_count", _int),
     },
-    "noise": {"level": ("noise_level", float), "seed": ("seed", int)},
+    "noise": {"level": ("noise_level", float), "seed": ("seed", _int)},
 }
+# fields that count, size or order something: each must be >= 1
+_POSITIVE_FIELDS = (
+    "forward_time_count", "forward_sensor_count", "inversion_time_count",
+    "inversion_sensor_count", "image_size", "taylor_order", "forward_taylor_order",
+    "quad_nodes", "forward_quad_nodes",
+)
 
 # phantom kind -> the fields it reads besides kind, grid_size and half_extent
 _PHANTOM_FIELDS = {
@@ -141,6 +160,10 @@ class ScenarioConfig:
         for key in self.phantom:
             if key not in ("kind", "grid_size", "half_extent", *_PHANTOM_FIELDS[kind]):
                 raise ConfigError(f"phantom.{key}: unknown field for kind {kind!r}")
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name}: must be >= 1, got {value!r}")
         if self.duration is None:
             self.duration = 6.0 if self.geometry == "circle" else 8.0
         if self.noise_level < 0:
@@ -238,18 +261,19 @@ class ScenarioConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"regularization.lam: {exc}") from exc
         simple = {
-            "duration": float, "forward_time_count": int, "forward_sensor_count": int,
-            "inversion_time_count": int, "inversion_sensor_count": int,
-            "image_size": int, "image_half_extent": float, "phantom": dict,
-            "seed": int, "taylor_order": int, "forward_taylor_order": int,
-            "omega_max": float, "quad_nodes": int, "forward_quad_nodes": int,
-            "inverse_crime": bool, "target_dx": float,
+            "duration": float, "forward_time_count": _int, "forward_sensor_count": _int,
+            "inversion_time_count": _int, "inversion_sensor_count": _int,
+            "image_size": _int, "image_half_extent": float, "phantom": dict,
+            "seed": _int, "taylor_order": _int, "forward_taylor_order": _int,
+            "omega_max": float, "quad_nodes": _int, "forward_quad_nodes": _int,
+            "inverse_crime": _bool, "target_dx": float,
         }
         for key, conv in simple.items():
             if key in d:
                 value = d.pop(key)
                 try:
-                    kwargs[key] = conv(value) if value is not None else None
+                    optional = key in ("duration", "target_dx")
+                    kwargs[key] = None if value is None and optional else conv(value)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{key}: {exc}") from exc
         if d:
@@ -378,26 +402,14 @@ def rel_l2_error(image, truth) -> float:
     return float(np.linalg.norm(a - b) / denom)
 
 
-def cross_section(image: ReconImage, axis: str = "x", coordinate: float = 0.0):
-    """Nearest row or column through the image.
-
-    ``axis="x"`` varies x at fixed ``y = coordinate`` and returns
-    ``(x_values, samples)``; ``axis="y"`` the other way around.
-    """
+def cross_section(image: ReconImage, y: float = 0.0):
+    """Nearest image row to ``y``, varying x: returns ``(x_values, samples)``."""
     if image.grid.ndim != 2:
         raise ValueError("cross sections are defined for 2-D images")
-    axes = image.grid.axes()
-    if axis == "x":
-        j = int(round((coordinate - image.grid.origin[1]) / image.grid.spacing))
-        if not 0 <= j < image.grid.shape[1]:
-            raise ValueError(f"coordinate {coordinate!r} outside the grid")
-        return axes[0].copy(), image.values[:, j].copy()
-    if axis == "y":
-        i = int(round((coordinate - image.grid.origin[0]) / image.grid.spacing))
-        if not 0 <= i < image.grid.shape[0]:
-            raise ValueError(f"coordinate {coordinate!r} outside the grid")
-        return axes[1].copy(), image.values[i, :].copy()
-    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    j = int(round((y - image.grid.origin[1]) / image.grid.spacing))
+    if not 0 <= j < image.grid.shape[1]:
+        raise ValueError(f"coordinate {y!r} outside the grid")
+    return image.grid.axes()[0].copy(), image.values[:, j].copy()
 
 
 # Forward fields are deterministic in (phantom, geometry, grids), so repeated
@@ -471,8 +483,8 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
         inv_tg = config.inversion_time_grid()
         inv_sensors = config.sensors(config.inversion_sensor_count)
         same = (
-            inv_tg == pa.time_grid and inv_sensors.n == pa.sensors.n
-            and inv_sensors.kind == pa.sensors.kind
+            inv_tg == pa.time_grid and inv_sensors.kind == pa.sensors.kind
+            and inv_sensors.params == pa.sensors.params
         )
         pa_inv = pa if same else resample_data(pa, inv_tg, inv_sensors)
 
@@ -498,9 +510,9 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
 
     with _stage("metrics", runtimes):
         errors = {name: rel_l2_error(img, truth) for name, img in recons.items()}
-        sections = {"truth": cross_section(truth, "x", 0.0)}
+        sections = {"truth": cross_section(truth, y=0.0)}
         for name, img in recons.items():
-            sections[name] = cross_section(img, "x", 0.0)
+            sections[name] = cross_section(img, y=0.0)
 
     return ScenarioResult(
         config=config,

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .recon import ImageGrid, ReconImage
-from .wavefield import Ellipse, Phantom, TimeGrid, WaveData, make_sensors
+from .wavefield import TimeGrid, WaveData, make_sensors
 
 __all__ = [
     "GridData",
@@ -36,8 +36,6 @@ __all__ = [
     "load_wave",
     "save_image",
     "load_image",
-    "save_phantom",
-    "load_phantom",
     "write_image_pgm",
     "write_csv",
     "read_csv",
@@ -158,56 +156,6 @@ def load_image(path) -> ReconImage:
         method = meta.get("method", method)
         provenance = meta.get("provenance", {})
     return ReconImage(data.values, grid, method, provenance)
-
-
-def save_phantom(path, phantom: Phantom) -> None:
-    """Phantom raster as a GridFile (the analytic ellipse list, when present,
-    travels in the sidecar so resampling stays exact after a reload)."""
-    write_grid(
-        path,
-        phantom.values,
-        kind="phantom",
-        spacing=(phantom.spacing, phantom.spacing),
-        origin=phantom.origin,
-    )
-    meta: dict = {"type": "phantom"}
-    if phantom.ellipses is not None:
-        meta["ellipses"] = [
-            {
-                "intensity": e.intensity,
-                "center": list(e.center),
-                "axes": list(e.axes),
-                "angle_deg": e.angle_deg,
-            }
-            for e in phantom.ellipses
-        ]
-    _sidecar(path).write_text(json.dumps(meta, indent=1, sort_keys=True))
-
-
-def load_phantom(path) -> Phantom:
-    data = read_grid(path)
-    if data.kind != "phantom":
-        raise ValueError(f"{path}: kind {data.kind!r} is not a phantom raster")
-    ellipses = None
-    sc = _sidecar(path)
-    if sc.exists():
-        meta = json.loads(sc.read_text())
-        if "ellipses" in meta:
-            ellipses = tuple(
-                Ellipse(
-                    intensity=float(e["intensity"]),
-                    center=tuple(e["center"]),
-                    axes=tuple(e["axes"]),
-                    angle_deg=float(e.get("angle_deg", 0.0)),
-                )
-                for e in meta["ellipses"]
-            )
-    return Phantom(
-        values=data.values,
-        spacing=float(data.spacing[0]),
-        origin=data.origin,
-        ellipses=ellipses,
-    )
 
 
 def _jsonable(obj):

@@ -251,17 +251,16 @@ def _fit_power_tail(omega: np.ndarray, im: np.ndarray, omega0: float):
 def validate_model(
     model: AttenuationModel,
     omega_grid: np.ndarray | None = None,
-    fd_step: float | None = None,
     omega0: float = 1.0,
 ) -> ValidationReport:
     """Audit symmetry, upper-half-plane range, the derivative lower bound and
     the weak/strong classification of a model on a symmetric grid.
 
     The derivative in the ``|kappa'|**2 + Im kappa`` bound is taken by
-    central differences with step ``fd_step`` (default ``1e-4`` times the
-    grid spacing).  Classification is a finite-grid heuristic: a strong law
-    must pass a power-tail fit whose fitted lower bound actually holds on
-    the grid; a weak law must have a decaying ``k_star``.
+    central differences with a step of ``1e-4`` times the grid spacing.
+    Classification is a finite-grid heuristic: a strong law must pass a
+    power-tail fit whose fitted lower bound actually holds on the grid; a
+    weak law must have a decaying ``k_star``.
     """
     if omega_grid is None:
         omega_grid = np.linspace(-100.0, 100.0, 2001)
@@ -271,9 +270,9 @@ def validate_model(
     if abs(w[0] + w[-1]) > 1e-9 * max(abs(w[-1]), 1.0):
         raise ValueError("omega_grid must be symmetric about 0")
     spacing = float(np.median(np.diff(w)))
-    h = fd_step if fd_step is not None else 1e-4 * spacing
-    if h <= 0:
-        raise ValueError("fd_step must be positive")
+    if spacing <= 0:
+        raise ValueError("omega_grid must be increasing")
+    h = 1e-4 * spacing
 
     kap = eval_kappa(model, w)
     symmetry_defect = float(np.max(np.abs(eval_kappa(model, -w) + np.conj(kap))))

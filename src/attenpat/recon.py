@@ -320,14 +320,12 @@ def ubp_3d_spherical(
     )
 
 
-def reconstruct_naive(pa: WaveData, grid: ImageGrid, **ubp_kwargs) -> ReconImage:
+def reconstruct_naive(pa: WaveData, grid: ImageGrid) -> ReconImage:
     """Plain universal back-projection, deliberately ignoring attenuation."""
-    return ubp_2d(pa, grid, method="naive-ubp", **ubp_kwargs)
+    return ubp_2d(pa, grid, method="naive-ubp")
 
 
-def reconstruct_compensated(
-    pa: WaveData, k_inf: float, grid: ImageGrid, **ubp_kwargs
-) -> ReconImage:
+def reconstruct_compensated(pa: WaveData, k_inf: float, grid: ImageGrid) -> ReconImage:
     """Exponential compensation: rescale the integrated data by
     ``exp(k_inf t)``, differentiate, back-project.  Exact for a constant
     law; for a non-constant weak law it corrects ``k_inf`` while
@@ -337,7 +335,7 @@ def reconstruct_compensated(
         np.exp(k_inf * qa.time_grid.times)[:, None] * qa.values, kind="integrated"
     )
     p = time_differentiate(q)
-    return ubp_2d(p, grid, method="compensated", **ubp_kwargs)
+    return ubp_2d(p, grid, method="compensated")
 
 
 def reconstruct_full(
@@ -345,14 +343,13 @@ def reconstruct_full(
     system: AttenuationSystem,
     grid: ImageGrid,
     regularization: float | None = None,
-    **ubp_kwargs,
 ) -> ReconImage:
     """Full inversion: integrate, solve the dense attenuation system for q,
     differentiate, back-project."""
     qa = time_integrate(pa)
     q = invert_attenuation(system, qa, regularization=regularization)
     p = time_differentiate(q)
-    img = ubp_2d(p, grid, method="full", **ubp_kwargs)
+    img = ubp_2d(p, grid, method="full")
     img.provenance["system"] = system.fingerprint
     if regularization is not None:
         img.provenance["regularization"] = regularization

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import ifft, irfft, irfft2, next_fast_len, rfft2
+from scipy.fft import ifft, irfft, next_fast_len, rfft2
 
 __all__ = [
     "TimeGrid",
@@ -36,6 +36,11 @@ __all__ = [
     "ball_nwave_oracle",
     "ball_nwave_integrated",
 ]
+
+# padding added to the propagator's domain side beyond the wave's reach
+MARGIN = 0.5
+# largest propagator grid side, in points: the memory guard of one phantom
+MAX_GRID_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -348,8 +353,9 @@ class SpectralPropagator:
     """Band-limited propagator for one phantom on a padded periodic grid.
 
     The square domain side is ``duration + max|sensor| + support radius +
-    margin`` so the first periodic wraparound arrives after the recording
-    window (unit sound speed).
+    MARGIN`` so the first periodic wraparound arrives after the recording
+    window (unit sound speed).  A grid finer than ``MAX_GRID_SIZE`` points
+    per side is refused rather than coarsened.
     """
 
     def __init__(
@@ -358,20 +364,22 @@ class SpectralPropagator:
         sensors: SensorArray,
         duration: float,
         target_dx: float | None = None,
-        margin: float = 0.5,
-        max_size: int = 2048,
         side: float | None = None,
     ):
         if sensors.dim != 2:
             raise ValueError("spectral propagator is 2-D; use 2-D sensors")
         sensor_reach = float(np.linalg.norm(sensors.points, axis=1).max())
         if side is None:
-            side = duration + sensor_reach + phantom.support_radius + margin
-            side = max(side, 2.0 * (sensor_reach + margin))
+            side = duration + sensor_reach + phantom.support_radius + MARGIN
+            side = max(side, 2.0 * (sensor_reach + MARGIN))
         dx = target_dx if target_dx is not None else phantom.spacing
         size = next_fast_len(int(np.ceil(side / dx)))
-        if size > max_size:
-            size = max_size
+        if size > MAX_GRID_SIZE:
+            raise ValueError(
+                f"propagator grid {size}x{size} exceeds the {MAX_GRID_SIZE}x{MAX_GRID_SIZE} "
+                f"cap: target_dx {dx!r} is too fine for a side of {side:.6g}; the "
+                f"smallest target_dx that fits is about {side / MAX_GRID_SIZE:.6g}"
+            )
         self.size = size
         self.dx = side / size
         self.axis = (np.arange(size) - size // 2) * self.dx
@@ -427,12 +435,6 @@ class SpectralPropagator:
         z = np.ascontiguousarray(z if rows is None else z[rows])
         return irfft(z, self.size, axis=1, norm="forward") * self._norm
 
-    def integrated_field(self, t: float) -> np.ndarray:
-        k = self.abs_k
-        with np.errstate(invalid="ignore", divide="ignore"):
-            prop = np.where(k > 0, np.sin(k * t) / np.where(k > 0, k, 1.0), t)
-        return irfft2(self.h_hat * prop, s=(self.size, self.size))
-
     def sample(self, field: np.ndarray) -> np.ndarray:
         """Bilinear sensor values from the full field or from its ``self.rows``."""
         i0 = self._i0 if field.shape[0] == self.size else self._r0
@@ -450,7 +452,6 @@ def spectral_forward(
     time_grid: TimeGrid,
     sensors: SensorArray,
     target_dx: float | None = None,
-    margin: float = 0.5,
 ) -> WaveData:
     """Lossless pressure traces at the sensors (kind ``"pressure"``).
 
@@ -460,9 +461,7 @@ def spectral_forward(
     """
     if target_dx is None:
         target_dx = min(time_grid.dt, phantom.spacing)
-    prop = SpectralPropagator(
-        phantom, sensors, time_grid.duration, target_dx=target_dx, margin=margin
-    )
+    prop = SpectralPropagator(phantom, sensors, time_grid.duration, target_dx=target_dx)
     out = np.empty((time_grid.count, sensors.n))
     for i, t in enumerate(time_grid.times):
         out[i] = prop.sample(prop.pressure_field(t, prop.rows))

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from attenpat.attenuation import (
+    _kernel_rows,
     AttenuationSystem,
     ConditioningError,
     apply_attenuation,
     build_system,
     compute_r1,
-    compute_rk,
     invert_attenuation,
     kernel_series,
     lag_grid,
@@ -82,20 +82,16 @@ class TestComputeRk:
     def test_zero_r1_gives_zero_rk(self):
         r1 = np.zeros(81)
         for k in (2, 5, 10):
-            assert np.all(compute_rk(r1, k, 0.05) == 0.0)
+            assert np.all(_kernel_rows(r1, k, 0.05)[-1] == 0.0)
 
     def test_gaussian_second_order(self):
         # (1j e^{-w^2/2})^2 = -e^{-w^2}  transforms to  -(1/sqrt 2) e^{-t^2/4}
         tg = TimeGrid.from_duration(6.0, 443)
         lags = lag_grid(tg)
         r1 = compute_r1(lambda w: np.exp(-(w**2) / 2.0), lags)
-        r2 = compute_rk(r1, 2, tg.dt)
+        r2 = _kernel_rows(r1, 2, tg.dt)[-1]
         expect = -np.exp(-(lags**2) / 4.0) / np.sqrt(2.0)
         assert np.max(np.abs(r2 - expect)) <= 1e-6
-
-    def test_requires_order_two(self):
-        with pytest.raises(ValueError):
-            compute_rk(np.zeros(9), 1, 0.1)
 
     def test_nsw_recursion_matches_direct_transform(self):
         tg = GRID_443
@@ -110,19 +106,6 @@ class TestComputeRk:
         for k in range(1, 11):
             rel = np.linalg.norm(series.r[k - 1] - direct[k - 1]) / np.linalg.norm(direct[k - 1])
             assert rel <= 1e-3, f"order {k}: relative error {rel:.2e}"
-
-    def test_causal_compatibility_mode(self):
-        # the 0-to-t summation variant zeroes negative lags exactly and tracks
-        # the full-line result up to its built-in O(dt * r1(0)) deviation
-        tg = TimeGrid.from_duration(6.0, 221)
-        series_full = kernel_series(NSW, tg, order=3)
-        series_causal = kernel_series(NSW, tg, order=3, causal=True)
-        n0 = tg.count - 1
-        assert np.all(series_causal.r[2][:n0] == 0.0)
-        full_pos = series_full.r[2][n0:]
-        causal_pos = series_causal.r[2][n0:]
-        rel = np.linalg.norm(full_pos - causal_pos) / np.linalg.norm(full_pos)
-        assert rel <= 0.3
 
 
 class TestBuildSystem:

@@ -152,7 +152,7 @@ class TestMetrics:
             rel_l2_error(self._img(np.ones((32, 32))), truth)
 
     def test_cross_section_constant(self):
-        xs, vals = cross_section(self._img(np.full((32, 32), 3.0)), "x", 0.0)
+        xs, vals = cross_section(self._img(np.full((32, 32), 3.0)), y=0.0)
         assert np.all(vals == 3.0)
         assert xs.shape == (32,)
 
@@ -160,21 +160,21 @@ class TestMetrics:
         axes = self.grid.axes()
         X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
         img = self._img(np.exp(-(X**2 + Y**2)))
-        _, vals = cross_section(img, "x", 0.0)
+        _, vals = cross_section(img, y=0.0)
         assert np.allclose(vals, vals[::-1])
 
     def test_cross_section_matches_phantom_row(self):
         ph = make_shepp_logan(128, 1.0)
         grid = ImageGrid.centered(128, 1.0)
         img = ReconImage(ph.values, grid, "ground-truth")
-        _, vals = cross_section(img, "x", 0.0)
+        _, vals = cross_section(img, y=0.0)
         j = int(round((0.0 - grid.origin[1]) / grid.spacing))
         assert np.array_equal(vals, ph.values[:, j])
         assert vals.max() >= 1.0  # crosses the interior plateau
 
     def test_cross_section_out_of_range(self):
         with pytest.raises(ValueError):
-            cross_section(self._img(np.ones((32, 32))), "x", 5.0)
+            cross_section(self._img(np.ones((32, 32))), y=5.0)
 
 
 class TestScenarioConfig:
@@ -245,6 +245,33 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(raw)
 
     @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"inverse_crime": "false"}, "inverse_crime"),
+            ({"inverse_crime": 0}, "inverse_crime"),
+            ({"inversion_time_count": 443.7}, "inversion_time_count"),
+            ({"seed": 2.9}, "seed"),
+            ({"noise": {"seed": 2.9}}, "noise.seed"),
+            ({"image_size": True}, "image_size"),
+            ({"geometry": {"kind": "circle", "count": "849"}}, "geometry.count"),
+            ({"quad_nodes": None}, "quad_nodes"),
+            ({"image_size": 0, "phantom": {"kind": "shepp-logan", "grid_size": 32}},
+             "image_size"),
+            ({"taylor_order": 0}, "taylor_order"),
+            ({"forward_time_count": -5}, "forward_time_count"),
+            ({"geometry": {"kind": "circle", "count": 0}}, "inversion_sensor_count"),
+            ({"quad_nodes": 0}, "quad_nodes"),
+        ],
+    )
+    def test_bad_integer_or_boolean_named(self, raw, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}:"):
+            ScenarioConfig.from_dict(raw)
+
+    def test_integral_float_accepted(self):
+        cfg = ScenarioConfig.from_dict({"inversion_time_count": 443.0, "inverse_crime": False})
+        assert cfg.inversion_time_count == 443 and type(cfg.inversion_time_count) is int
+
+    @pytest.mark.parametrize(
         "path", sorted((Path(__file__).parent.parent / "configs").glob("*.json")),
         ids=lambda p: p.name,
     )
@@ -305,6 +332,17 @@ class TestRunScenario:
         _FORWARD_CACHE.clear()
         fresh, _, _ = simulate_scenario(fine)
         assert np.array_equal(after_coarse.values, fresh.values)
+
+    @pytest.mark.parametrize("count", [212, 256], ids=["same-count", "more-sensors"])
+    def test_geometry_mismatch_raises_at_any_sensor_count(self, count):
+        # data on a radius-1.7 circle, config on radius 2.0, same time grid
+        from attenpat.experiments import ScenarioStageError, reconstruct_scenario
+
+        cfg = ScenarioConfig(model=ConstantModel(0.45), radius=2.0, **SMALL)
+        tg = cfg.inversion_time_grid()
+        pa = _wave(np.zeros((tg.count, count)), tg, SensorArray.circle(1.7, count))
+        with pytest.raises(ScenarioStageError, match="radius differs"):
+            reconstruct_scenario(cfg, pa)
 
     def test_stage_failure_names_stage(self):
         # an image grid poking outside the circle fails inside back-projection

@@ -7,17 +7,15 @@ from attenpat.gridio import (
     read_csv,
     read_grid,
     load_image,
-    load_phantom,
     load_wave,
     save_image,
-    save_phantom,
     save_wave,
     write_csv,
     write_grid,
     write_image_pgm,
 )
 from attenpat.recon import ImageGrid, ReconImage
-from attenpat.wavefield import SensorArray, TimeGrid, WaveData, make_shepp_logan
+from attenpat.wavefield import SensorArray, TimeGrid, WaveData
 
 
 class TestGridFile:
@@ -89,19 +87,6 @@ class TestWaveAndImageFiles:
         assert back.method == "full"
         assert back.grid == grid
         assert back.provenance["system"] == "abc"
-
-
-class TestPhantomAndSystemFiles:
-    def test_phantom_round_trip_keeps_ellipses(self, tmp_path):
-        ph = make_shepp_logan(64, 1.0)
-        path = tmp_path / "ph.atw"
-        save_phantom(path, ph)
-        back = load_phantom(path)
-        assert np.array_equal(back.values, ph.values)
-        assert back.spacing == pytest.approx(ph.spacing)
-        assert len(back.ellipses) == 10
-        x = np.linspace(-0.7, 0.7, 33)
-        assert np.array_equal(back.evaluate(x, x), ph.evaluate(x, x))
 
 
 class TestPgm:
