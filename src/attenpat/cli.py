@@ -14,6 +14,7 @@ working directory; all behavior comes from flags and the config file
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -38,7 +39,7 @@ from .gridio import (
     write_csv,
     write_image_pgm,
 )
-from .models import model_from_spec, validate_model
+from .models import validate_model
 
 __all__ = ["main"]
 
@@ -67,9 +68,7 @@ def _load_config(path: str | None, seed: int | None) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
     config = ScenarioConfig.from_dict(raw)
-    if seed is not None:
-        config.seed = seed
-    return config
+    return config if seed is None else dataclasses.replace(config, seed=seed)
 
 
 def _outdir(args) -> Path:
@@ -80,13 +79,7 @@ def _outdir(args) -> Path:
 
 
 def _cmd_validate_model(args) -> int:
-    config = json.loads(Path(args.config).read_text()) if args.config else None
-    if config is None:
-        raise ConfigError("--config: required for validate-model")
-    try:
-        model = model_from_spec(config.get("model", config))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = _load_config(args.config, args.seed).model
     grid = np.linspace(-args.omega_range, args.omega_range, args.points)
     report = validate_model(model, grid, omega0=args.omega0)
     print(report.to_text())

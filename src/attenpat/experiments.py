@@ -9,9 +9,12 @@ applicable method and score each against the rasterized ground truth.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -86,94 +89,169 @@ def _stage(name: str, runtimes: dict):
     runtimes[name] = time.perf_counter() - t0
 
 
-def _int(value) -> int:
-    """Strict ``int``: a JSON integer or an integral float, never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+def _convert(key: str, convert, value):
+    """``convert(value)``, a failure raised as a ``ConfigError`` naming ``key``."""
+    try:
+        return convert(value)
+    except ConfigError:  # from a nested converter, which names its own key
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _int(value, least: int = 1) -> int:
+    """Strict ``int`` >= ``least``: a JSON integer or integral float, no bool or string."""
+    if isinstance(value, bool) or not isinstance(value, Real) or value % 1:
         raise ValueError(f"expected an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"must be >= {least}, got {value!r}")
     return int(value)
 
 
-def _bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
+def _real(value, least: float = -math.inf) -> float:
+    """A finite JSON number >= ``least``: no bool, string, NaN or infinity."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    if value < least:
+        raise ValueError(f"must be >= {least}, got {value!r}")
+    return float(value)
+
+
+def _positive(value) -> float:
+    if _real(value) <= 0:
+        raise ValueError(f"must be > 0, got {value!r}")
+    return float(value)
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _geometry(value) -> str:
+    if value not in ("circle", "line"):
+        raise ValueError(f"unknown value {value!r}")
     return value
 
 
-# nested config sections: key -> (ScenarioConfig field, converter)
-_CONFIG_SECTIONS = {
-    "geometry": {
-        "kind": ("geometry", str), "radius": ("radius", float),
-        "length": ("line_length", float), "standoff": ("standoff", float),
-        "count": ("inversion_sensor_count", _int),
-    },
-    "noise": {"level": ("noise_level", float), "seed": ("seed", _int)},
-}
-# fields that count, size or order something: each must be >= 1
-_POSITIVE_FIELDS = (
-    "forward_time_count", "forward_sensor_count", "inversion_time_count",
-    "inversion_sensor_count", "image_size", "taylor_order", "forward_taylor_order",
-    "quad_nodes", "forward_quad_nodes",
-)
+def _model(value) -> AttenuationModel:
+    if isinstance(value, AttenuationModel):
+        return value
+    try:
+        return model_from_spec(value)
+    except ValueError as exc:  # model_from_spec names the model key itself
+        raise ConfigError(str(exc)) from exc
 
-# phantom kind -> the fields it reads besides kind, grid_size and half_extent
-_PHANTOM_FIELDS = {
-    "shepp-logan": (),
-    "disk": ("radius", "intensity"),
-    "ellipses": ("items",),
+
+def _pair(value, convert) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"expected a pair of numbers, got {value!r}")
+    return convert(value[0]), convert(value[1])
+
+
+def _ellipses(items) -> list:
+    """Ellipse mappings typed for ``Ellipse(**item)``."""
+    if not isinstance(items, list) or not items:
+        raise ValueError(f"expected a non-empty list of ellipses, got {items!r}")
+    out = []
+    for item in items:
+        e = Ellipse(**item)  # a TypeError names a missing or unknown key
+        out.append({
+            "intensity": _real(e.intensity),
+            "center": _pair(e.center, _real),
+            "axes": _pair(e.axes, _positive),
+            "angle_deg": _real(e.angle_deg),
+        })
+    return out
+
+
+# phantom kind -> converter of each key it reads besides kind, grid_size and half_extent
+_PHANTOM_KEYS = {
+    "shepp-logan": {},
+    "disk": {"radius": _positive, "intensity": _real},
+    "ellipses": {"items": _ellipses},
 }
+
+
+def _phantom(spec) -> dict:
+    """The phantom mapping with its kind filled in and every value typed."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"expected a mapping, got {spec!r}")
+    kind = spec.get("kind", "shepp-logan")
+    if not isinstance(kind, str) or kind not in _PHANTOM_KEYS:
+        raise ConfigError(f"phantom.kind: unknown value {kind!r}")
+    keys = {"kind": str, "grid_size": _int, "half_extent": _positive, **_PHANTOM_KEYS[kind]}
+    for key in spec:
+        if key not in keys:
+            raise ConfigError(f"phantom.{key}: unknown field for kind {kind!r}")
+    if kind == "ellipses" and "items" not in spec:
+        raise ConfigError("phantom.items: missing for kind 'ellipses'")
+    typed = {key: _convert(f"phantom.{key}", keys[key], value) for key, value in spec.items()}
+    return {**typed, "kind": kind}
+
+
+def _regularization(value) -> Optional[float]:
+    """``"none"`` (or null) for no regularization, else the Tikhonov ``lam``,
+    written ``{"kind": "tikhonov", "lam": ...}`` or bare."""
+    if value is None or value == "none":
+        return None
+    if isinstance(value, dict):
+        kind = value.get("kind")
+        if kind != "tikhonov":
+            raise ConfigError(f"regularization.kind: expected 'tikhonov', got {kind!r}")
+        for key in value:
+            if key not in ("kind", "lam"):
+                raise ConfigError(f"regularization.{key}: unknown config field")
+        value = value.get("lam")
+    return _convert("regularization.lam", _positive, value)
+
+
+def _field(convert, key: str, dump=lambda value: value, **default):
+    """A config field with the converter ``__post_init__`` applies, its config
+    key (``section.key`` inside a section) and the inverse ``to_dict`` applies."""
+    return field(**default, metadata={"convert": convert, "key": key, "dump": dump})
 
 
 @dataclass
 class ScenarioConfig:
-    """One experiment configuration (defaults mirror the circle benchmark)."""
+    """One experiment configuration (defaults mirror the circle benchmark);
+    every value, however given, is checked once, when the config is built."""
 
-    model: AttenuationModel = field(default_factory=lambda: ConstantModel(k_inf=0.45))
-    geometry: str = "circle"  # "circle" | "line"
-    radius: float = 1.7
-    line_length: float = 10.2
-    standoff: float = 1.7
-    duration: Optional[float] = None  # default 6 for circle, 8 for line
-    forward_time_count: int = 500
-    forward_sensor_count: int = 896
-    inversion_time_count: int = 443
-    inversion_sensor_count: int = 849
-    image_size: int = 128
-    image_half_extent: float = 1.0
-    phantom: dict = field(default_factory=lambda: {"kind": "shepp-logan"})
-    noise_level: float = 0.0
-    seed: int = 0
-    taylor_order: int = 10
-    forward_taylor_order: int = 14
-    omega_max: float = 200.0
-    quad_nodes: int = 2**14
-    forward_quad_nodes: int = 2**15
-    regularization: Optional[float] = None
-    inverse_crime: bool = False
-    target_dx: Optional[float] = None
+    model: AttenuationModel = _field(
+        _model, "model", model_to_spec, default_factory=lambda: ConstantModel(k_inf=0.45)
+    )
+    geometry: str = _field(_geometry, "geometry.kind", default="circle")
+    radius: float = _field(_positive, "geometry.radius", default=1.7)
+    line_length: float = _field(_positive, "geometry.length", default=10.2)
+    standoff: float = _field(_positive, "geometry.standoff", default=1.7)
+    # None means 6 for a circle, 8 for a line
+    duration: Optional[float] = _field(_optional(_positive), "duration", default=None)
+    forward_time_count: int = _field(_int, "forward_time_count", default=500)
+    forward_sensor_count: int = _field(_int, "forward_sensor_count", default=896)
+    inversion_time_count: int = _field(_int, "inversion_time_count", default=443)
+    inversion_sensor_count: int = _field(_int, "geometry.count", default=849)
+    image_size: int = _field(_int, "image_size", default=128)
+    image_half_extent: float = _field(_positive, "image_half_extent", default=1.0)
+    phantom: dict = _field(
+        _phantom, "phantom", default_factory=lambda: {"kind": "shepp-logan"}
+    )
+    noise_level: float = _field(partial(_real, least=0.0), "noise.level", default=0.0)
+    seed: int = _field(partial(_int, least=0), "noise.seed", default=0)
+    taylor_order: int = _field(_int, "taylor_order", default=10)
+    forward_taylor_order: int = _field(_int, "forward_taylor_order", default=14)
+    omega_max: float = _field(_positive, "omega_max", default=200.0)
+    quad_nodes: int = _field(_int, "quad_nodes", default=2**14)
+    forward_quad_nodes: int = _field(_int, "forward_quad_nodes", default=2**15)
+    regularization: Optional[float] = _field(
+        _regularization, "regularization", lambda lam: lam or "none", default=None
+    )
+    target_dx: Optional[float] = _field(_optional(_positive), "target_dx", default=None)
 
     def __post_init__(self) -> None:
-        if self.geometry not in ("circle", "line"):
-            raise ConfigError(f"geometry: unknown value {self.geometry!r}")
-        kind = self.phantom.get("kind", "shepp-logan")
-        if kind not in _PHANTOM_FIELDS:
-            raise ConfigError(f"phantom.kind: unknown value {kind!r}")
-        for key in self.phantom:
-            if key not in ("kind", "grid_size", "half_extent", *_PHANTOM_FIELDS[kind]):
-                raise ConfigError(f"phantom.{key}: unknown field for kind {kind!r}")
-        for name in _POSITIVE_FIELDS:
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"{name}: must be >= 1, got {value!r}")
+        for f in fields(self):
+            value = _convert(f.metadata["key"], f.metadata["convert"], getattr(self, f.name))
+            setattr(self, f.name, value)
         if self.duration is None:
             self.duration = 6.0 if self.geometry == "circle" else 8.0
-        if self.noise_level < 0:
-            raise ConfigError(f"noise.level: must be >= 0, got {self.noise_level!r}")
-        lam = self.regularization
-        if lam is not None and not (np.isfinite(lam) and lam > 0):
-            raise ConfigError(f"regularization.lam: must be positive and finite, got {lam!r}")
-        if self.inverse_crime:
-            self.inversion_time_count = self.forward_time_count
-            self.inversion_sensor_count = self.forward_sensor_count
 
     # --- derived pieces -------------------------------------------------
     def forward_time_grid(self) -> TimeGrid:
@@ -192,28 +270,13 @@ class ScenarioConfig:
 
     def build_phantom(self) -> Phantom:
         spec = self.phantom
-        kind = spec.get("kind", "shepp-logan")
-        n = int(spec.get("grid_size", self.image_size))
-        half = float(spec.get("half_extent", self.image_half_extent))
-        if kind == "shepp-logan":
+        n = spec.get("grid_size", self.image_size)
+        half = spec.get("half_extent", self.image_half_extent)
+        if spec["kind"] == "shepp-logan":
             return make_shepp_logan(n, half)
-        if kind == "disk":
-            return disk_phantom(
-                float(spec.get("radius", 0.4)), float(spec.get("intensity", 1.0)), n, half
-            )
-        items = spec.get("items")  # kind "ellipses", the only other one __post_init__ accepts
-        if not items:
-            raise ConfigError("phantom.items: missing for kind 'ellipses'")
-        ells = [
-            Ellipse(
-                intensity=float(e["intensity"]),
-                center=(float(e["center"][0]), float(e["center"][1])),
-                axes=(float(e["axes"][0]), float(e["axes"][1])),
-                angle_deg=float(e.get("angle_deg", 0.0)),
-            )
-            for e in items
-        ]
-        return phantom_from_ellipses(ells, n, half)
+        if spec["kind"] == "disk":
+            return disk_phantom(spec.get("radius", 0.4), spec.get("intensity", 1.0), n, half)
+        return phantom_from_ellipses([Ellipse(**e) for e in spec["items"]], n, half)
 
     def methods(self) -> list:
         out = ["naive"]
@@ -226,90 +289,31 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
-            raise ConfigError("config: expected a mapping")
-        d = dict(raw)
-        kwargs = {}
-        try:
-            if "model" in d:
-                kwargs["model"] = model_from_spec(d.pop("model"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        for section, table in _CONFIG_SECTIONS.items():
-            spec = d.pop(section, None)
-            if spec is None:
-                continue
-            if not isinstance(spec, dict):
-                raise ConfigError(f"{section}: expected a mapping, got {spec!r}")
-            for key, value in spec.items():
-                if key not in table:
-                    raise ConfigError(f"{section}.{key}: unknown config field")
-                name, conv = table[key]
-                try:
-                    kwargs[name] = conv(value)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{section}.{key}: {exc}") from exc
-        reg = d.pop("regularization", None)
-        if reg is not None and reg != "none":
-            if isinstance(reg, dict):
-                if reg.get("kind") != "tikhonov":
-                    raise ConfigError(
-                        f"regularization.kind: expected 'tikhonov', got {reg.get('kind')!r}"
-                    )
-                reg = reg.get("lam")
-            try:
-                kwargs["regularization"] = float(reg)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"regularization.lam: {exc}") from exc
-        simple = {
-            "duration": float, "forward_time_count": _int, "forward_sensor_count": _int,
-            "inversion_time_count": _int, "inversion_sensor_count": _int,
-            "image_size": _int, "image_half_extent": float, "phantom": dict,
-            "seed": _int, "taylor_order": _int, "forward_taylor_order": _int,
-            "omega_max": float, "quad_nodes": _int, "forward_quad_nodes": _int,
-            "inverse_crime": _bool, "target_dx": float,
-        }
-        for key, conv in simple.items():
-            if key in d:
-                value = d.pop(key)
-                try:
-                    optional = key in ("duration", "target_dx")
-                    kwargs[key] = None if value is None and optional else conv(value)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{key}: {exc}") from exc
-        if d:
-            raise ConfigError(f"{sorted(d)[0]}: unknown config field")
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"config: expected a mapping, got {type(raw).__name__}")
+        names = {f.metadata["key"]: f.name for f in fields(cls)}
+        sections = {key.partition(".")[0] for key in names if "." in key}
+        flat = {}
+        for key, value in raw.items():
+            if key in sections:
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{key}: expected a mapping, got {value!r}")
+                flat.update((f"{key}.{sub}", v) for sub, v in value.items())
+            elif "." in str(key):  # a dotted key is only ever written inside its section
+                raise ConfigError(f"{key}: unknown config field")
+            else:
+                flat[key] = value
+        for key in flat:
+            if key not in names:
+                raise ConfigError(f"{key}: unknown config field")
+        return cls(**{names[key]: value for key, value in flat.items()})
 
     def to_dict(self) -> dict:
-        return {
-            "model": model_to_spec(self.model),
-            "geometry": {
-                "kind": self.geometry,
-                "radius": self.radius,
-                "length": self.line_length,
-                "standoff": self.standoff,
-                "count": self.inversion_sensor_count,
-            },
-            "duration": self.duration,
-            "forward_time_count": self.forward_time_count,
-            "forward_sensor_count": self.forward_sensor_count,
-            "inversion_time_count": self.inversion_time_count,
-            "image_size": self.image_size,
-            "image_half_extent": self.image_half_extent,
-            "phantom": self.phantom,
-            "noise": {"level": self.noise_level, "seed": self.seed},
-            "taylor_order": self.taylor_order,
-            "forward_taylor_order": self.forward_taylor_order,
-            "omega_max": self.omega_max,
-            "quad_nodes": self.quad_nodes,
-            "forward_quad_nodes": self.forward_quad_nodes,
-            "regularization": self.regularization if self.regularization else "none",
-            "inverse_crime": self.inverse_crime,
-            "target_dx": self.target_dx,
-        }
+        out: dict = {}
+        for f in fields(self):
+            section, _, key = f.metadata["key"].rpartition(".")
+            value = f.metadata["dump"](getattr(self, f.name))
+            (out.setdefault(section, {}) if section else out)[key] = value
+        return out
 
 
 @dataclass(eq=False)

@@ -355,14 +355,14 @@ def model_from_spec(spec: dict) -> AttenuationModel:
     unknown = [k for k in spec if k != "kind" and k not in fields]
     if unknown:
         raise ValueError(f"model.{unknown[0]}: unknown field for kind {kind!r}")
-    if kind == "tabulated":
-        return TabulatedWeakModel(
-            omega=np.asarray(spec["omega"], dtype=float),
-            kstar=np.asarray(spec["kstar_real"], dtype=float)
-            + 1j * np.asarray(spec["kstar_imag"], dtype=float),
-            k_inf=float(spec["k_inf"]),
-        )
     try:
+        if kind == "tabulated":
+            return TabulatedWeakModel(
+                omega=np.asarray(spec["omega"], dtype=float),
+                kstar=np.asarray(spec["kstar_real"], dtype=float)
+                + 1j * np.asarray(spec["kstar_imag"], dtype=float),
+                k_inf=float(spec["k_inf"]),
+            )
         return cls(**{f: float(spec[f]) for f in fields})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"model: {exc}") from exc

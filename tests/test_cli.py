@@ -45,6 +45,11 @@ class TestValidateModelCommand:
         assert main(["validate-model", "--config", cfg]) == 1
         assert "model.tau" in capsys.readouterr().err
 
+    def test_non_mapping_config_is_config_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, [1, 2])
+        assert main(["validate-model", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: config: expected a mapping")
+
 
 class TestCompareCommand:
     def test_identical_images_zero_error(self, tmp_path, capsys):
@@ -142,6 +147,13 @@ class TestPipelineCommands:
         cfg = _write_config(tmp_path, dict(SMALL_SCENARIO, noise=0.2))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "noise: expected a mapping" in capsys.readouterr().err
+
+    def test_negative_seed_fails_before_simulating(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, SMALL_SCENARIO)
+        out = tmp_path / "neg"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: noise.seed: must be >= 0")
+        assert not (out / "data_forward.atw").exists()
 
     def test_seed_override(self, tmp_path):
         payload = dict(SMALL_SCENARIO)

@@ -191,6 +191,36 @@ class TestScenarioConfig:
         assert again.noise_level == 0.2
         assert again.seed == 9
         assert again.inversion_sensor_count == cfg.inversion_sensor_count
+        # every key set, each to a value other than its default
+        raw = {
+            "model": {"kind": "tabulated", "omega": [-50.0, 0.0, 50.0],
+                      "kstar_real": [0.2, 0.0, 0.2], "kstar_imag": [-0.1, 0.0, 0.1],
+                      "k_inf": 0.3},
+            "geometry": {"kind": "line", "radius": 1.5, "length": 9.0, "standoff": 1.6,
+                         "count": 300},
+            "duration": 7.0,
+            "forward_time_count": 400,
+            "forward_sensor_count": 320,
+            "inversion_time_count": 350,
+            "image_size": 64,
+            "image_half_extent": 0.9,
+            "phantom": {"kind": "ellipses", "grid_size": 48, "half_extent": 0.95, "items": [
+                {"intensity": 1.0, "center": [0.1, -0.2], "axes": [0.3, 0.2], "angle_deg": 15.0},
+                {"intensity": -0.5, "center": [0.0, 0.0], "axes": [0.1, 0.1], "angle_deg": 0.0},
+            ]},
+            "noise": {"level": 0.05, "seed": 17},
+            "taylor_order": 8,
+            "forward_taylor_order": 12,
+            "omega_max": 150.0,
+            "quad_nodes": 4096,
+            "forward_quad_nodes": 8192,
+            "regularization": 1e-3,
+            "target_dx": 0.01,
+        }
+        cfg = ScenarioConfig.from_dict(raw)
+        assert cfg.regularization == 1e-3 and cfg.target_dx == 0.01
+        assert json.loads(json.dumps(cfg.to_dict())) == raw
+        assert ScenarioConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError, match="frobnicate"):
@@ -238,17 +268,38 @@ class TestScenarioConfig:
             ({"phantom": {"kind": "star"}}, "phantom.kind"),
             ({"model": {"kind": "nsw", "tau": 0.11, "tau_tilde": 0.1, "tauu": 3}}, "model.tauu"),
             ({"model": {"kind": "constant", "k_inf": 0.45, "tau": 0.1}}, "model.tau"),
+            ({"duration": True}, "duration"),
+            ({"geometry": {"kind": "circle", "radius": "2.0"}}, "geometry.radius"),
+            ({"omega_max": float("nan")}, "omega_max"),
+            ({"noise": {"level": float("inf")}}, "noise.level"),
+            ({"duration": 0}, "duration"),
+            ({"omega_max": -200.0}, "omega_max"),
+            ({"target_dx": 0.0}, "target_dx"),
+            ({"image_half_extent": -1.0}, "image_half_extent"),
+            ({"geometry": {"kind": "line", "length": 0}}, "geometry.length"),
+            ({"geometry": {"kind": "line", "standoff": -1.7}}, "geometry.standoff"),
+            ({"phantom": {"kind": "disk", "radius": 0.0}}, "phantom.radius"),
+            ({"phantom": {"kind": "ellipses", "items": {"intensity": 1.0}}}, "phantom.items"),
+            ({"phantom": {"kind": "ellipses", "items": [{"intensity": 1.0}]}}, "phantom.items"),
+            ({"phantom": {"kind": "ellipses", "items": [
+                {"intensity": 1.0, "center": [0.0, 0.0], "axes": [0.2]}]}}, "phantom.items"),
+            ({"regularization": {"kind": "tikhonov", "lam": 1e-3, "lamda": 1e-3}},
+             "regularization.lamda"),
         ],
     )
     def test_bad_section_named(self, raw, field):
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)}:"):
             ScenarioConfig.from_dict(raw)
 
+    def test_non_mapping_phantom_named(self):
+        with pytest.raises(ConfigError, match="^phantom: expected a mapping"):
+            ScenarioConfig.from_dict({"phantom": "disk"})
+
     @pytest.mark.parametrize(
         "raw, field",
         [
-            ({"inverse_crime": "false"}, "inverse_crime"),
-            ({"inverse_crime": 0}, "inverse_crime"),
+            ({"phantom": {"kind": "shepp-logan", "grid_size": 40.7}}, "phantom.grid_size"),
+            ({"noise": {"level": 0.1, "seed": -1}}, "noise.seed"),
             ({"inversion_time_count": 443.7}, "inversion_time_count"),
             ({"seed": 2.9}, "seed"),
             ({"noise": {"seed": 2.9}}, "noise.seed"),
@@ -259,7 +310,7 @@ class TestScenarioConfig:
              "image_size"),
             ({"taylor_order": 0}, "taylor_order"),
             ({"forward_time_count": -5}, "forward_time_count"),
-            ({"geometry": {"kind": "circle", "count": 0}}, "inversion_sensor_count"),
+            ({"geometry": {"kind": "circle", "count": 0}}, "geometry.count"),
             ({"quad_nodes": 0}, "quad_nodes"),
         ],
     )
@@ -268,7 +319,7 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict(raw)
 
     def test_integral_float_accepted(self):
-        cfg = ScenarioConfig.from_dict({"inversion_time_count": 443.0, "inverse_crime": False})
+        cfg = ScenarioConfig.from_dict({"inversion_time_count": 443.0})
         assert cfg.inversion_time_count == 443 and type(cfg.inversion_time_count) is int
 
     @pytest.mark.parametrize(
@@ -367,8 +418,8 @@ class TestRunScenario:
     def test_inverse_crime_guard(self):
         # sharing the forward grids must not beat the honest run by > 30%
         honest = run_scenario(ScenarioConfig(model=NswModel(0.11, 0.10), seed=2, **SMALL))
-        crime = run_scenario(
-            ScenarioConfig(model=NswModel(0.11, 0.10), seed=2, inverse_crime=True, **SMALL)
-        )
-        assert crime.config.inversion_time_count == crime.config.forward_time_count
+        shared = dict(SMALL, inversion_time_count=SMALL["forward_time_count"],
+                      inversion_sensor_count=SMALL["forward_sensor_count"])
+        crime = run_scenario(ScenarioConfig(model=NswModel(0.11, 0.10), seed=2, **shared))
+        assert crime.data.values.shape == crime.data_forward.values.shape
         assert crime.errors["full"] >= 0.7 * honest.errors["full"]
