@@ -41,6 +41,7 @@ from .attenuation import (
     kernel_series,
 )
 from .recon import (
+    BackProjector,
     ImageGrid,
     ReconImage,
     reconstruct_compensated,

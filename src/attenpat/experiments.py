@@ -9,7 +9,6 @@ applicable method and score each against the rasterized ground truth.
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -23,16 +22,18 @@ from .attenuation import apply_attenuation, build_system
 from .models import (
     AttenuationModel,
     ConstantModel,
+    finite_real,
     k_infinity,
     model_from_spec,
     model_to_spec,
 )
 from .recon import (
+    METHOD_TAGS,
+    BackProjector,
     ImageGrid,
     ReconImage,
-    reconstruct_compensated,
-    reconstruct_full,
-    reconstruct_naive,
+    compensated_traces,
+    full_traces,
     time_differentiate,
     time_integrate,
 )
@@ -108,17 +109,8 @@ def _int(value, least: int = 1) -> int:
     return int(value)
 
 
-def _real(value, least: float = -math.inf) -> float:
-    """A finite JSON number >= ``least``: no bool, string, NaN or infinity."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    if value < least:
-        raise ValueError(f"must be >= {least}, got {value!r}")
-    return float(value)
-
-
 def _positive(value) -> float:
-    if _real(value) <= 0:
+    if finite_real(value) <= 0:
         raise ValueError(f"must be > 0, got {value!r}")
     return float(value)
 
@@ -156,10 +148,10 @@ def _ellipses(items) -> list:
     for item in items:
         e = Ellipse(**item)  # a TypeError names a missing or unknown key
         out.append({
-            "intensity": _real(e.intensity),
-            "center": _pair(e.center, _real),
+            "intensity": finite_real(e.intensity),
+            "center": _pair(e.center, finite_real),
             "axes": _pair(e.axes, _positive),
-            "angle_deg": _real(e.angle_deg),
+            "angle_deg": finite_real(e.angle_deg),
         })
     return out
 
@@ -167,7 +159,7 @@ def _ellipses(items) -> list:
 # phantom kind -> converter of each key it reads besides kind, grid_size and half_extent
 _PHANTOM_KEYS = {
     "shepp-logan": {},
-    "disk": {"radius": _positive, "intensity": _real},
+    "disk": {"radius": _positive, "intensity": finite_real},
     "ellipses": {"items": _ellipses},
 }
 
@@ -234,7 +226,7 @@ class ScenarioConfig:
     phantom: dict = _field(
         _phantom, "phantom", default_factory=lambda: {"kind": "shepp-logan"}
     )
-    noise_level: float = _field(partial(_real, least=0.0), "noise.level", default=0.0)
+    noise_level: float = _field(partial(finite_real, least=0.0), "noise.level", default=0.0)
     seed: int = _field(partial(_int, least=0), "noise.seed", default=0)
     taylor_order: int = _field(_int, "taylor_order", default=10)
     forward_taylor_order: int = _field(_int, "forward_taylor_order", default=14)
@@ -252,6 +244,23 @@ class ScenarioConfig:
             setattr(self, f.name, value)
         if self.duration is None:
             self.duration = 6.0 if self.geometry == "circle" else 8.0
+        # the phantom builders' limits, on the values they will be given
+        spec = self.phantom
+        n, half = self._phantom_raster()
+        size_key = "phantom.grid_size" if "grid_size" in spec else "image_size"
+        half_key = "phantom.half_extent" if "half_extent" in spec else "image_half_extent"
+        if n < 16:
+            raise ConfigError(f"{size_key}: the phantom raster needs >= 16 points, got {n}")
+        if spec["kind"] == "shepp-logan" and half < 0.8:
+            raise ConfigError(
+                f"{half_key}: must be >= 0.8 so the Shepp-Logan phantom is not clipped, "
+                f"got {half!r}"
+            )
+        if spec["kind"] == "disk" and spec.get("radius", 0.4) >= half:
+            raise ConfigError(
+                f"phantom.radius: must be < the phantom half extent {half!r}, "
+                f"got {spec.get('radius', 0.4)!r}"
+            )
 
     # --- derived pieces -------------------------------------------------
     def forward_time_grid(self) -> TimeGrid:
@@ -268,10 +277,16 @@ class ScenarioConfig:
     def image_grid(self) -> ImageGrid:
         return ImageGrid.centered(self.image_size, self.image_half_extent)
 
+    def _phantom_raster(self) -> tuple:
+        """Size and half extent of the phantom raster: the phantom's own keys,
+        else the image's."""
+        spec = self.phantom
+        return (spec.get("grid_size", self.image_size),
+                spec.get("half_extent", self.image_half_extent))
+
     def build_phantom(self) -> Phantom:
         spec = self.phantom
-        n = spec.get("grid_size", self.image_size)
-        half = spec.get("half_extent", self.image_half_extent)
+        n, half = self._phantom_raster()
         if spec["kind"] == "shepp-logan":
             return make_shepp_logan(n, half)
         if spec["kind"] == "disk":
@@ -467,8 +482,9 @@ def simulate_scenario(config: ScenarioConfig):
 
 def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom | None = None,
                          runtimes: dict | None = None) -> ScenarioResult:
-    """Inversion half of a scenario: resample, reconstruct with every
-    applicable method, and score against the rasterized ground truth."""
+    """Inversion half of a scenario: resample, correct the traces for every
+    applicable method, back-project them all in one pass, and score against
+    the rasterized ground truth."""
     runtimes = dict(runtimes or {})
     if phantom is None:
         with _stage("phantom", runtimes):
@@ -492,14 +508,10 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
         )
         pa_inv = pa if same else resample_data(pa, inv_tg, inv_sensors)
 
-    recons: dict = {}
-    with _stage("reconstruct-naive", runtimes):
-        recons["naive"] = reconstruct_naive(pa_inv, grid)
+    traces = {"naive": pa_inv}
     if "compensated" in config.methods():
         with _stage("reconstruct-compensated", runtimes):
-            recons["compensated"] = reconstruct_compensated(
-                pa_inv, k_infinity(config.model), grid
-            )
+            traces["compensated"] = compensated_traces(pa_inv, k_infinity(config.model))
     with _stage("reconstruct-full", runtimes):
         system = build_system(
             config.model,
@@ -508,9 +520,18 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
             omega_max=config.omega_max,
             num_nodes=config.quad_nodes,
         )
-        recons["full"] = reconstruct_full(
-            pa_inv, system, grid, regularization=config.regularization
-        )
+        traces["full"] = full_traces(pa_inv, system, regularization=config.regularization)
+
+    with _stage("back-projection", runtimes):
+        projector = BackProjector(pa_inv.sensors, pa_inv.time_grid, grid)
+        images = projector.project(list(traces.values()))
+        recons = {
+            name: projector.image(values, METHOD_TAGS[name])
+            for name, values in zip(traces, images)
+        }
+        recons["full"].provenance["system"] = system.fingerprint
+        if config.regularization is not None:
+            recons["full"].provenance["regularization"] = config.regularization
 
     with _stage("metrics", runtimes):
         errors = {name: rel_l2_error(img, truth) for name, img in recons.items()}

@@ -16,7 +16,9 @@ families matter here:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Union
 
 import numpy as np
@@ -35,12 +37,22 @@ __all__ = [
     "validate_model",
     "model_from_spec",
     "model_to_spec",
+    "finite_real",
     "model_tag",
 ]
 
 
 class UnsupportedModelError(ValueError):
     """Raised when an operation requires a weak attenuation law."""
+
+
+def finite_real(value, least: float = -math.inf) -> float:
+    """A finite JSON number >= ``least``: no bool, string, NaN or infinity."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    if value < least:
+        raise ValueError(f"must be >= {least}, got {value!r}")
+    return float(value)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -355,15 +367,22 @@ def model_from_spec(spec: dict) -> AttenuationModel:
     unknown = [k for k in spec if k != "kind" and k not in fields]
     if unknown:
         raise ValueError(f"model.{unknown[0]}: unknown field for kind {kind!r}")
+    numbers = {}
+    for key in fields:
+        if key not in ("omega", "kstar_real", "kstar_imag"):
+            try:
+                numbers[key] = finite_real(spec[key])
+            except ValueError as exc:
+                raise ValueError(f"model.{key}: {exc}") from exc
     try:
         if kind == "tabulated":
             return TabulatedWeakModel(
                 omega=np.asarray(spec["omega"], dtype=float),
                 kstar=np.asarray(spec["kstar_real"], dtype=float)
                 + 1j * np.asarray(spec["kstar_imag"], dtype=float),
-                k_inf=float(spec["k_inf"]),
+                **numbers,
             )
-        return cls(**{f: float(spec[f]) for f in fields})
+        return cls(**numbers)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"model: {exc}") from exc
 

@@ -15,7 +15,9 @@ pixel then needs a single interpolation per sensor.
 
 The attenuation-corrected pipelines all share the shape: integrate the
 measured p^a in time, undo the attenuation operator (fully, or only its
-exponential part), differentiate back, and back-project.
+exponential part), differentiate back, and back-project.  The traces of
+every pipeline lie on the same sensors and time grid, so one
+:class:`BackProjector` images all of them in a single pass.
 """
 
 from __future__ import annotations
@@ -26,15 +28,19 @@ from typing import Sequence, Union
 import numpy as np
 
 from .attenuation import AttenuationSystem, invert_attenuation
-from .wavefield import SensorArray, WaveData
+from .wavefield import SensorArray, TimeGrid, WaveData
 
 __all__ = [
     "ImageGrid",
     "ReconImage",
     "time_integrate",
     "time_differentiate",
+    "BackProjector",
     "ubp_2d",
     "ubp_3d_spherical",
+    "METHOD_TAGS",
+    "compensated_traces",
+    "full_traces",
     "reconstruct_naive",
     "reconstruct_compensated",
     "reconstruct_full",
@@ -127,10 +133,6 @@ def time_differentiate(wave: WaveData) -> WaveData:
 
 def _dt_ratio_traces(wave: WaveData) -> np.ndarray:
     """d/dt of (trace / t): central differences interior, one-sided ends."""
-    if wave.time_grid.count < 2:
-        raise ValueError(
-            f"need at least two time samples to back-project, got {wave.time_grid.count}"
-        )
     t = wave.time_grid.times[:, None]
     g = wave.values / t
     dt = wave.time_grid.dt
@@ -181,20 +183,28 @@ def _inner_weight_matrix(
     return w
 
 
-def ubp_2d(
-    wave: WaveData,
-    grid: ImageGrid,
-    du: float | None = None,
-    dist_step: float | None = None,
-    method: str = "naive-ubp",
-) -> ReconImage:
-    """Two-dimensional universal back-projection of pressure-like traces.
+def _same_sensors(a: SensorArray, b: SensorArray) -> bool:
+    return a is b or a.kind == b.kind and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("points", "normals", "weights")
+    )
+
+
+class BackProjector:
+    """Two-dimensional universal back-projection on fixed sensors, time grid
+    and pixel grid.
+
+    Everything that depends only on that geometry is built once: the
+    inside check, the distance range ``[d_lo, d_hi]`` the pixels can reach,
+    the uniform distance nodes and the inner weight table.
+    :meth:`project` then images any number of trace sets on that geometry
+    in one pass over the sensors.
 
     Parameters
     ----------
-    wave : WaveData
-        Pressure (or deliberately uncorrected attenuated pressure) traces
-        on a circle or line geometry.
+    sensors : SensorArray
+        Circle or line measurement geometry.
+    time_grid : TimeGrid
+        Sampling of the traces, at least two samples.
     grid : ImageGrid
         2-D pixel grid strictly inside the valid region of the geometry.
     du, dist_step : float, optional
@@ -205,62 +215,105 @@ def ubp_2d(
         table holds at least 32 nodes and is never coarser than
         ``dist_step``.
     """
-    if wave.kind not in ("pressure", "attenuated"):
-        raise ValueError(f"back-projection expects pressure-like data, got {wave.kind!r}")
-    if grid.ndim != 2:
-        raise ValueError("ubp_2d needs a 2-D image grid")
-    sensors = wave.sensors
-    pts = grid.points()
-    _check_inside(sensors, pts)
 
-    tg = wave.time_grid
-    omega0 = 4.0 * np.pi if sensors.kind == "circle" else 2.0 * np.pi
-    du = du if du is not None else tg.dt / 2.0
-    dist_step = dist_step if dist_step is not None else tg.dt / 4.0
+    def __init__(self, sensors: SensorArray, time_grid: TimeGrid, grid: ImageGrid,
+                 du: float | None = None, dist_step: float | None = None) -> None:
+        if grid.ndim != 2:
+            raise ValueError("2-D back-projection needs a 2-D image grid")
+        pts = grid.points()
+        _check_inside(sensors, pts)
+        if time_grid.count < 2:
+            raise ValueError(
+                f"need at least two time samples to back-project, got {time_grid.count}")
+        self.sensors = sensors
+        self.time_grid = time_grid
+        self.grid = grid
+        self.du = du if du is not None else time_grid.dt / 2.0
+        self.dist_step = dist_step if dist_step is not None else time_grid.dt / 4.0
 
-    g = _dt_ratio_traces(wave)
+        pr = np.hypot(pts[:, 0], pts[:, 1]).max()
+        sr = np.linalg.norm(sensors.points, axis=1)
+        self.d_lo = max(float(sr.min() - pr), time_grid.dt)
+        self.d_hi = min(float(sr.max() + pr), time_grid.duration * (1.0 - 1e-9))
+        self.dist_nodes = self.weights = None
+        if self.d_hi > self.d_lo:  # else the recording ends before a signal reaches a pixel
+            n_d = int(max(np.ceil((self.d_hi - self.d_lo) / self.dist_step) + 1, 32))
+            self.dist_nodes = np.linspace(self.d_lo, self.d_hi, n_d)
+            self.weights = _inner_weight_matrix(time_grid.times, self.dist_nodes,
+                                                time_grid.duration, self.du)
 
-    pr = np.hypot(pts[:, 0], pts[:, 1]).max()
-    sr = np.linalg.norm(sensors.points, axis=1)
-    d_lo = max(float(sr.min() - pr), tg.dt)
-    d_hi = min(float(sr.max() + pr), tg.duration * (1.0 - 1e-9))
-    if d_hi <= d_lo:
-        # recording window ends before any signal could reach a pixel
+    def project(self, waves: Sequence[WaveData]) -> list:
+        """One image array per pressure-like trace set in ``waves``.
+
+        Per sensor, the pixel distances, their table indices and fractions
+        and the ``n . (xi - x)`` factor are computed once and shared by all
+        trace sets; each set then costs one ``take`` pair and one
+        multiply-add.  The images do not interact: each is the image its
+        trace set gives alone.
+        """
+        for wave in waves:
+            if wave.kind not in ("pressure", "attenuated"):
+                raise ValueError(f"back-projection expects pressure-like data, got {wave.kind!r}")
+            if wave.time_grid != self.time_grid or not _same_sensors(wave.sensors, self.sensors):
+                raise ValueError("traces are not on the time grid and sensors of the projector")
+        images = [np.zeros(self.grid.shape) for _ in waves]
+        if self.weights is None:
+            return images
+        # (n_sensors, n_d) per trace set: each sensor's profile is contiguous
+        profiles = [_dt_ratio_traces(wave).T @ self.weights.T for wave in waves]
+
+        # The grid is a tensor product, so per sensor the distance and n.(xi - x)
+        # separate into x and y parts, and the uniform distance axis turns
+        # np.interp's search into index arithmetic (same edges: phi[0] below
+        # d_lo, phi[-1] at d_hi, zero beyond).
+        sensors = self.sensors
+        d_lo, d_hi = self.d_lo, self.d_hi
+        n_d = len(self.dist_nodes)
+        inv_step = (n_d - 1) / (d_hi - d_lo)
+        ax, ay = self.grid.axes()
+        for j in range(sensors.n):
+            dx = sensors.points[j, 0] - ax
+            dy = sensors.points[j, 1] - ay
+            d = np.sqrt(np.add.outer(dx * dx, dy * dy))
+            pos = np.maximum((d - d_lo) * inv_step, 0.0)
+            idx = np.minimum(pos.astype(np.intp), n_d - 2)
+            frac = pos - idx
+            nx, ny = sensors.weights[j] * sensors.normals[j]
+            ndot = np.add.outer(nx * dx, ny * dy)
+            ndot[d > d_hi] = 0.0
+            for img, phi in zip(images, profiles):
+                val = np.diff(phi[j]).take(idx)
+                val *= frac
+                val += phi[j].take(idx)
+                val *= ndot
+                img += val
+        omega0 = 4.0 * np.pi if sensors.kind == "circle" else 2.0 * np.pi
+        for img in images:
+            img *= -4.0 / omega0
+        return images
+
+    def image(self, values: np.ndarray, method: str) -> ReconImage:
+        """``values`` from :meth:`project` as an image tagged ``method``; the
+        provenance records the geometry and the quadrature steps."""
         return ReconImage(
-            np.zeros(grid.shape), grid, method,
-            provenance={"geometry": sensors.kind, "du": du, "dist_step": dist_step},
+            values, self.grid, method,
+            provenance={"geometry": self.sensors.kind, "du": self.du, "dist_step": self.dist_step},
         )
-    n_d = int(max(np.ceil((d_hi - d_lo) / dist_step) + 1, 32))
-    dist_nodes = np.linspace(d_lo, d_hi, n_d)
 
-    weights = _inner_weight_matrix(tg.times, dist_nodes, tg.duration, du)
-    phi = g.T @ weights.T  # (n_sensors, n_d): each sensor's profile is contiguous
 
-    # The grid is a tensor product, so per sensor the distance and n.(xi - x)
-    # separate into x and y parts, and the uniform distance axis turns
-    # np.interp's search into index arithmetic (same edges: phi[0] below
-    # d_lo, phi[-1] at d_hi, zero beyond).
-    ax, ay = grid.axes()
-    inv_step = (n_d - 1) / (d_hi - d_lo)
-    img = np.zeros(grid.shape)
-    for j in range(sensors.n):
-        dx = sensors.points[j, 0] - ax
-        dy = sensors.points[j, 1] - ay
-        d = np.sqrt(np.add.outer(dx * dx, dy * dy))
-        pos = np.maximum((d - d_lo) * inv_step, 0.0)
-        idx = np.minimum(pos.astype(np.intp), n_d - 2)
-        val = np.diff(phi[j]).take(idx)
-        val *= pos - idx
-        val += phi[j].take(idx)
-        val[d > d_hi] = 0.0
-        nx, ny = sensors.weights[j] * sensors.normals[j]
-        val *= np.add.outer(nx * dx, ny * dy)
-        img += val
-    img *= -4.0 / omega0
-    return ReconImage(
-        img, grid, method,
-        provenance={"geometry": sensors.kind, "du": du, "dist_step": dist_step},
-    )
+def ubp_2d(
+    wave: WaveData,
+    grid: ImageGrid,
+    du: float | None = None,
+    dist_step: float | None = None,
+    method: str = "naive-ubp",
+) -> ReconImage:
+    """Two-dimensional universal back-projection of one set of pressure (or
+    deliberately uncorrected attenuated pressure) traces: a
+    :class:`BackProjector` on the traces' own geometry, used once."""
+    projector = BackProjector(wave.sensors, wave.time_grid, grid, du, dist_step)
+    (values,) = projector.project([wave])
+    return projector.image(values, method)
 
 
 TraceFunctions = tuple  # (pressure_fn, dpressure_fn), each (sensor_index, times) -> values
@@ -320,22 +373,36 @@ def ubp_3d_spherical(
     )
 
 
-def reconstruct_naive(pa: WaveData, grid: ImageGrid) -> ReconImage:
-    """Plain universal back-projection, deliberately ignoring attenuation."""
-    return ubp_2d(pa, grid, method="naive-ubp")
+METHOD_TAGS = {"naive": "naive-ubp", "compensated": "compensated", "full": "full"}
 
 
-def reconstruct_compensated(pa: WaveData, k_inf: float, grid: ImageGrid) -> ReconImage:
+def compensated_traces(pa: WaveData, k_inf: float) -> WaveData:
     """Exponential compensation: rescale the integrated data by
-    ``exp(k_inf t)``, differentiate, back-project.  Exact for a constant
-    law; for a non-constant weak law it corrects ``k_inf`` while
-    neglecting ``k_star``."""
+    ``exp(k_inf t)`` and differentiate.  Exact for a constant law; for a
+    non-constant weak law it corrects ``k_inf`` while neglecting ``k_star``."""
     qa = time_integrate(pa)
     q = qa.replace_values(
         np.exp(k_inf * qa.time_grid.times)[:, None] * qa.values, kind="integrated"
     )
-    p = time_differentiate(q)
-    return ubp_2d(p, grid, method="compensated")
+    return time_differentiate(q)
+
+
+def full_traces(pa: WaveData, system: AttenuationSystem,
+                regularization: float | None = None) -> WaveData:
+    """Full inversion: integrate, solve the dense attenuation system for q,
+    differentiate."""
+    q = invert_attenuation(system, time_integrate(pa), regularization=regularization)
+    return time_differentiate(q)
+
+
+def reconstruct_naive(pa: WaveData, grid: ImageGrid) -> ReconImage:
+    """Plain universal back-projection, deliberately ignoring attenuation."""
+    return ubp_2d(pa, grid, method=METHOD_TAGS["naive"])
+
+
+def reconstruct_compensated(pa: WaveData, k_inf: float, grid: ImageGrid) -> ReconImage:
+    """Back-projection of :func:`compensated_traces`."""
+    return ubp_2d(compensated_traces(pa, k_inf), grid, method=METHOD_TAGS["compensated"])
 
 
 def reconstruct_full(
@@ -344,12 +411,8 @@ def reconstruct_full(
     grid: ImageGrid,
     regularization: float | None = None,
 ) -> ReconImage:
-    """Full inversion: integrate, solve the dense attenuation system for q,
-    differentiate, back-project."""
-    qa = time_integrate(pa)
-    q = invert_attenuation(system, qa, regularization=regularization)
-    p = time_differentiate(q)
-    img = ubp_2d(p, grid, method="full")
+    """Back-projection of :func:`full_traces`."""
+    img = ubp_2d(full_traces(pa, system, regularization), grid, method=METHOD_TAGS["full"])
     img.provenance["system"] = system.fingerprint
     if regularization is not None:
         img.provenance["regularization"] = regularization

@@ -285,6 +285,21 @@ class TestScenarioConfig:
                 {"intensity": 1.0, "center": [0.0, 0.0], "axes": [0.2]}]}}, "phantom.items"),
             ({"regularization": {"kind": "tikhonov", "lam": 1e-3, "lamda": 1e-3}},
              "regularization.lamda"),
+            ({"model": {"kind": "constant", "k_inf": "0.45"}}, "model.k_inf"),
+            ({"model": {"kind": "nsw", "tau": True, "tau_tilde": 0.1}}, "model.tau"),
+            ({"model": {"kind": "nsw", "tau": 0.11, "tau_tilde": float("nan")}},
+             "model.tau_tilde"),
+            ({"model": {"kind": "power-law", "amplitude": 1.0, "exponent": float("inf")}},
+             "model.exponent"),
+            ({"model": {"kind": "tabulated", "omega": [-50.0, 0.0, 50.0],
+                        "kstar_real": [0.0, 0.0, 0.0], "kstar_imag": [0.0, 0.0, 0.0],
+                        "k_inf": "0.3"}}, "model.k_inf"),
+            ({"phantom": {"kind": "disk", "grid_size": 8}}, "phantom.grid_size"),
+            ({"image_size": 8}, "image_size"),
+            ({"phantom": {"kind": "disk", "radius": 1.5}}, "phantom.radius"),
+            ({"phantom": {"kind": "disk", "radius": 0.5, "half_extent": 0.5}}, "phantom.radius"),
+            ({"phantom": {"kind": "shepp-logan", "half_extent": 0.7}}, "phantom.half_extent"),
+            ({"image_half_extent": 0.5}, "image_half_extent"),
         ],
     )
     def test_bad_section_named(self, raw, field):
@@ -348,8 +363,8 @@ class TestRunScenario:
         assert res.errors["full"] < res.errors["naive"]
         assert set(res.runtimes) == {
             "phantom", "forward-propagation", "forward-attenuation", "noise",
-            "ground-truth", "resample", "reconstruct-naive",
-            "reconstruct-compensated", "reconstruct-full", "metrics",
+            "ground-truth", "resample", "reconstruct-compensated",
+            "reconstruct-full", "back-projection", "metrics",
         }
         assert all(t >= 0 for t in res.runtimes.values())
 
@@ -400,7 +415,7 @@ class TestRunScenario:
         from attenpat.experiments import ScenarioStageError
 
         cfg = ScenarioConfig(model=ConstantModel(0.45), image_half_extent=2.5, **SMALL)
-        with pytest.raises(ScenarioStageError, match="reconstruct-naive"):
+        with pytest.raises(ScenarioStageError, match="back-projection"):
             run_scenario(cfg)
 
     def test_constant_circle_cross_section_peak(self):

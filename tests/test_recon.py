@@ -4,6 +4,7 @@ import pytest
 from attenpat.attenuation import build_system
 from attenpat.models import ConstantModel, NswModel
 from attenpat.recon import (
+    BackProjector,
     ImageGrid,
     ReconImage,
     reconstruct_compensated,
@@ -233,6 +234,53 @@ class TestUbp2d:
         w = _wave(np.zeros((64, 16)), tg, sensors, kind="integrated")
         with pytest.raises(ValueError):
             ubp_2d(w, ImageGrid.centered(16, 1.0))
+
+
+class TestBackProjector:
+    @pytest.mark.parametrize(
+        "duration, sensors",
+        [(6.0, SensorArray.circle(1.7, 48)), (4.0, SensorArray.line(10.2, 1.7, 64))],
+        ids=["circle", "line-cut-by-duration"],
+    )
+    def test_stacked_members_match_interp_reference(self, duration, sensors):
+        from oracles import interp_ubp_2d
+
+        tg = TimeGrid.from_duration(duration, 50)
+        grid = ImageGrid.centered(24, 1.0)
+        rng = np.random.default_rng(23)
+        waves = [_wave(rng.standard_normal((50, sensors.n)), tg, sensors, kind)
+                 for kind in ("pressure", "attenuated", "pressure")]
+        projector = BackProjector(sensors, tg, grid)
+        images = projector.project(waves)
+        assert len(images) == 3
+        for wave, img in zip(waves, images):
+            ref = interp_ubp_2d(wave, grid, projector.dist_nodes, projector.weights)
+            assert np.max(np.abs(img - ref)) <= 1e-12 * np.abs(ref).max()
+        if sensors.kind == "line":  # the recording window does cut the table
+            d = np.linalg.norm(sensors.points[:, None] - grid.points()[None], axis=2)
+            assert np.any(d > projector.dist_nodes[-1])
+
+    def test_stack_members_do_not_interact(self):
+        tg = TimeGrid.from_duration(6.0, 60)
+        sensors = SensorArray.circle(1.7, 40)
+        rng = np.random.default_rng(5)
+        a, b = (_wave(rng.standard_normal((60, 40)), tg, sensors) for _ in range(2))
+        projector = BackProjector(sensors, tg, ImageGrid.centered(20, 1.0))
+        assert np.array_equal(projector.project([a, b])[1], projector.project([b])[0])
+        assert np.array_equal(projector.project([a, b])[0], projector.project([a])[0])
+
+    def test_stack_off_the_projector_geometry_rejected(self):
+        tg = TimeGrid.from_duration(6.0, 60)
+        sensors = SensorArray.circle(1.7, 40)
+        projector = BackProjector(sensors, tg, ImageGrid.centered(20, 1.0))
+        good = _wave(np.zeros((60, 40)), tg, sensors)
+        other_times = _wave(np.zeros((61, 40)), TimeGrid.from_duration(6.0, 61), sensors)
+        other_sensors = _wave(np.zeros((60, 40)), tg, SensorArray.circle(1.8, 40))
+        for bad in (other_times, other_sensors):
+            with pytest.raises(ValueError, match="time grid and sensors"):
+                projector.project([good, bad])
+        # equal geometry built separately is accepted
+        assert projector.project([_wave(np.zeros((60, 40)), tg, SensorArray.circle(1.7, 40))])
 
 
 class TestUbp3d:
