@@ -41,9 +41,9 @@ from .attenuation import (
     kernel_series,
 )
 from .recon import (
-    BackProjector,
     ImageGrid,
     ReconImage,
+    back_project,
     reconstruct_compensated,
     reconstruct_full,
     reconstruct_naive,

@@ -28,11 +28,12 @@ from .models import (
     model_to_spec,
 )
 from .recon import (
-    METHOD_TAGS,
-    BackProjector,
     ImageGrid,
     ReconImage,
+    back_project,
+    check_inside,
     compensated_traces,
+    full_provenance,
     full_traces,
     time_differentiate,
     time_integrate,
@@ -165,7 +166,8 @@ _PHANTOM_KEYS = {
 
 
 def _phantom(spec) -> dict:
-    """The phantom mapping with its kind filled in and every value typed."""
+    """The phantom mapping with its kind (and a disk's radius and intensity)
+    filled in and every value typed."""
     if not isinstance(spec, dict):
         raise ValueError(f"expected a mapping, got {spec!r}")
     kind = spec.get("kind", "shepp-logan")
@@ -178,7 +180,8 @@ def _phantom(spec) -> dict:
     if kind == "ellipses" and "items" not in spec:
         raise ConfigError("phantom.items: missing for kind 'ellipses'")
     typed = {key: _convert(f"phantom.{key}", keys[key], value) for key, value in spec.items()}
-    return {**typed, "kind": kind}
+    defaults = {"radius": 0.4, "intensity": 1.0} if kind == "disk" else {}
+    return {**defaults, **typed, "kind": kind}
 
 
 def _regularization(value) -> Optional[float]:
@@ -252,15 +255,10 @@ class ScenarioConfig:
         if n < 16:
             raise ConfigError(f"{size_key}: the phantom raster needs >= 16 points, got {n}")
         if spec["kind"] == "shepp-logan" and half < 0.8:
-            raise ConfigError(
-                f"{half_key}: must be >= 0.8 so the Shepp-Logan phantom is not clipped, "
-                f"got {half!r}"
-            )
-        if spec["kind"] == "disk" and spec.get("radius", 0.4) >= half:
-            raise ConfigError(
-                f"phantom.radius: must be < the phantom half extent {half!r}, "
-                f"got {spec.get('radius', 0.4)!r}"
-            )
+            raise ConfigError(f"{half_key}: the Shepp-Logan phantom needs >= 0.8, got {half!r}")
+        if spec["kind"] == "disk" and spec["radius"] >= half:
+            raise ConfigError(f"phantom.radius: must be < the half extent {half!r}, "
+                              f"got {spec['radius']!r}")
 
     # --- derived pieces -------------------------------------------------
     def forward_time_grid(self) -> TimeGrid:
@@ -290,7 +288,7 @@ class ScenarioConfig:
         if spec["kind"] == "shepp-logan":
             return make_shepp_logan(n, half)
         if spec["kind"] == "disk":
-            return disk_phantom(spec.get("radius", 0.4), spec.get("intensity", 1.0), n, half)
+            return disk_phantom(spec["radius"], spec["intensity"], n, half)
         return phantom_from_ellipses([Ellipse(**e) for e in spec["items"]], n, half)
 
     def methods(self) -> list:
@@ -507,6 +505,7 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
             and inv_sensors.params == pa.sensors.params
         )
         pa_inv = pa if same else resample_data(pa, inv_tg, inv_sensors)
+        check_inside(pa_inv.sensors, grid.points())
 
     traces = {"naive": pa_inv}
     if "compensated" in config.methods():
@@ -523,15 +522,10 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
         traces["full"] = full_traces(pa_inv, system, regularization=config.regularization)
 
     with _stage("back-projection", runtimes):
-        projector = BackProjector(pa_inv.sensors, pa_inv.time_grid, grid)
-        images = projector.project(list(traces.values()))
-        recons = {
-            name: projector.image(values, METHOD_TAGS[name])
-            for name, values in zip(traces, images)
-        }
-        recons["full"].provenance["system"] = system.fingerprint
-        if config.regularization is not None:
-            recons["full"].provenance["regularization"] = config.regularization
+        tags = {"naive": "naive-ubp", "compensated": "compensated", "full": "full"}
+        images = back_project({tags[name]: wave for name, wave in traces.items()}, grid)
+        recons = {name: images[tags[name]] for name in traces}
+        recons["full"].provenance.update(full_provenance(system, config.regularization))
 
     with _stage("metrics", runtimes):
         errors = {name: rel_l2_error(img, truth) for name, img in recons.items()}

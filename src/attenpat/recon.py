@@ -17,7 +17,7 @@ The attenuation-corrected pipelines all share the shape: integrate the
 measured p^a in time, undo the attenuation operator (fully, or only its
 exponential part), differentiate back, and back-project.  The traces of
 every pipeline lie on the same sensors and time grid, so one
-:class:`BackProjector` images all of them in a single pass.
+:func:`back_project` call images all of them in a single pass.
 """
 
 from __future__ import annotations
@@ -28,19 +28,20 @@ from typing import Sequence, Union
 import numpy as np
 
 from .attenuation import AttenuationSystem, invert_attenuation
-from .wavefield import SensorArray, TimeGrid, WaveData
+from .wavefield import SensorArray, WaveData
 
 __all__ = [
     "ImageGrid",
     "ReconImage",
     "time_integrate",
     "time_differentiate",
-    "BackProjector",
+    "check_inside",
+    "back_project",
     "ubp_2d",
     "ubp_3d_spherical",
-    "METHOD_TAGS",
     "compensated_traces",
     "full_traces",
+    "full_provenance",
     "reconstruct_naive",
     "reconstruct_compensated",
     "reconstruct_full",
@@ -143,7 +144,9 @@ def _dt_ratio_traces(wave: WaveData) -> np.ndarray:
     return out
 
 
-def _check_inside(sensors: SensorArray, pts: np.ndarray) -> None:
+def check_inside(sensors: SensorArray, pts: np.ndarray) -> None:
+    """Raise unless every point lies strictly inside the 2-D measurement
+    geometry: within the circle, or above the line."""
     if sensors.kind == "circle":
         radius = sensors.params["radius"]
         if np.hypot(pts[:, 0], pts[:, 1]).max() >= radius:
@@ -183,28 +186,20 @@ def _inner_weight_matrix(
     return w
 
 
-def _same_sensors(a: SensorArray, b: SensorArray) -> bool:
-    return a is b or a.kind == b.kind and all(
-        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("points", "normals", "weights")
-    )
-
-
-class BackProjector:
-    """Two-dimensional universal back-projection on fixed sensors, time grid
-    and pixel grid.
-
-    Everything that depends only on that geometry is built once: the
-    inside check, the distance range ``[d_lo, d_hi]`` the pixels can reach,
-    the uniform distance nodes and the inner weight table.
-    :meth:`project` then images any number of trace sets on that geometry
-    in one pass over the sensors.
+def back_project(
+    waves: dict,
+    grid: ImageGrid,
+    du: float | None = None,
+    dist_step: float | None = None,
+) -> dict:
+    """Two-dimensional universal back-projection of pressure-like traces.
 
     Parameters
     ----------
-    sensors : SensorArray
-        Circle or line measurement geometry.
-    time_grid : TimeGrid
-        Sampling of the traces, at least two samples.
+    waves : dict
+        Method tag -> pressure (or deliberately uncorrected attenuated
+        pressure) traces.  All share one time grid and one
+        :class:`SensorArray` object, on a circle or line geometry.
     grid : ImageGrid
         2-D pixel grid strictly inside the valid region of the geometry.
     du, dist_step : float, optional
@@ -214,63 +209,45 @@ class BackProjector:
         so the distance axis needs the finer sampling).  The distance
         table holds at least 32 nodes and is never coarser than
         ``dist_step``.
+
+    Returns each trace set's image under its tag.  The weight table and,
+    per sensor, the pixel distances, table indices and ``n . (xi - x)``
+    are computed once and shared; the images do not interact.
     """
+    first = next(iter(waves.values()))
+    sensors, tg = first.sensors, first.time_grid
+    for wave in waves.values():
+        if wave.kind not in ("pressure", "attenuated"):
+            raise ValueError(f"back-projection expects pressure-like data, got {wave.kind!r}")
+        if wave.time_grid != tg or wave.sensors is not sensors:
+            raise ValueError("back-projected traces must share one time grid and one sensor array")
+    if grid.ndim != 2:
+        raise ValueError("2-D back-projection needs a 2-D image grid")
+    pts = grid.points()
+    check_inside(sensors, pts)
+    if tg.count < 2:
+        raise ValueError(f"need at least two time samples to back-project, got {tg.count}")
 
-    def __init__(self, sensors: SensorArray, time_grid: TimeGrid, grid: ImageGrid,
-                 du: float | None = None, dist_step: float | None = None) -> None:
-        if grid.ndim != 2:
-            raise ValueError("2-D back-projection needs a 2-D image grid")
-        pts = grid.points()
-        _check_inside(sensors, pts)
-        if time_grid.count < 2:
-            raise ValueError(
-                f"need at least two time samples to back-project, got {time_grid.count}")
-        self.sensors = sensors
-        self.time_grid = time_grid
-        self.grid = grid
-        self.du = du if du is not None else time_grid.dt / 2.0
-        self.dist_step = dist_step if dist_step is not None else time_grid.dt / 4.0
-
-        pr = np.hypot(pts[:, 0], pts[:, 1]).max()
-        sr = np.linalg.norm(sensors.points, axis=1)
-        self.d_lo = max(float(sr.min() - pr), time_grid.dt)
-        self.d_hi = min(float(sr.max() + pr), time_grid.duration * (1.0 - 1e-9))
-        self.dist_nodes = self.weights = None
-        if self.d_hi > self.d_lo:  # else the recording ends before a signal reaches a pixel
-            n_d = int(max(np.ceil((self.d_hi - self.d_lo) / self.dist_step) + 1, 32))
-            self.dist_nodes = np.linspace(self.d_lo, self.d_hi, n_d)
-            self.weights = _inner_weight_matrix(time_grid.times, self.dist_nodes,
-                                                time_grid.duration, self.du)
-
-    def project(self, waves: Sequence[WaveData]) -> list:
-        """One image array per pressure-like trace set in ``waves``.
-
-        Per sensor, the pixel distances, their table indices and fractions
-        and the ``n . (xi - x)`` factor are computed once and shared by all
-        trace sets; each set then costs one ``take`` pair and one
-        multiply-add.  The images do not interact: each is the image its
-        trace set gives alone.
-        """
-        for wave in waves:
-            if wave.kind not in ("pressure", "attenuated"):
-                raise ValueError(f"back-projection expects pressure-like data, got {wave.kind!r}")
-            if wave.time_grid != self.time_grid or not _same_sensors(wave.sensors, self.sensors):
-                raise ValueError("traces are not on the time grid and sensors of the projector")
-        images = [np.zeros(self.grid.shape) for _ in waves]
-        if self.weights is None:
-            return images
+    omega0 = 4.0 * np.pi if sensors.kind == "circle" else 2.0 * np.pi
+    du = du if du is not None else tg.dt / 2.0
+    dist_step = dist_step if dist_step is not None else tg.dt / 4.0
+    images = [np.zeros(grid.shape) for _ in waves]
+    pr = np.hypot(pts[:, 0], pts[:, 1]).max()
+    sr = np.linalg.norm(sensors.points, axis=1)
+    d_lo = max(float(sr.min() - pr), tg.dt)
+    d_hi = min(float(sr.max() + pr), tg.duration * (1.0 - 1e-9))
+    if d_hi > d_lo:  # else the recording window ends before any signal reaches a pixel
+        n_d = int(max(np.ceil((d_hi - d_lo) / dist_step) + 1, 32))
+        weights = _inner_weight_matrix(tg.times, np.linspace(d_lo, d_hi, n_d), tg.duration, du)
         # (n_sensors, n_d) per trace set: each sensor's profile is contiguous
-        profiles = [_dt_ratio_traces(wave).T @ self.weights.T for wave in waves]
+        profiles = [_dt_ratio_traces(wave).T @ weights.T for wave in waves.values()]
 
         # The grid is a tensor product, so per sensor the distance and n.(xi - x)
         # separate into x and y parts, and the uniform distance axis turns
         # np.interp's search into index arithmetic (same edges: phi[0] below
         # d_lo, phi[-1] at d_hi, zero beyond).
-        sensors = self.sensors
-        d_lo, d_hi = self.d_lo, self.d_hi
-        n_d = len(self.dist_nodes)
+        ax, ay = grid.axes()
         inv_step = (n_d - 1) / (d_hi - d_lo)
-        ax, ay = self.grid.axes()
         for j in range(sensors.n):
             dx = sensors.points[j, 0] - ax
             dy = sensors.points[j, 1] - ay
@@ -287,18 +264,13 @@ class BackProjector:
                 val += phi[j].take(idx)
                 val *= ndot
                 img += val
-        omega0 = 4.0 * np.pi if sensors.kind == "circle" else 2.0 * np.pi
         for img in images:
             img *= -4.0 / omega0
-        return images
-
-    def image(self, values: np.ndarray, method: str) -> ReconImage:
-        """``values`` from :meth:`project` as an image tagged ``method``; the
-        provenance records the geometry and the quadrature steps."""
-        return ReconImage(
-            values, self.grid, method,
-            provenance={"geometry": self.sensors.kind, "du": self.du, "dist_step": self.dist_step},
-        )
+    return {
+        method: ReconImage(img, grid, method,
+                           provenance={"geometry": sensors.kind, "du": du, "dist_step": dist_step})
+        for method, img in zip(waves, images)
+    }
 
 
 def ubp_2d(
@@ -308,12 +280,8 @@ def ubp_2d(
     dist_step: float | None = None,
     method: str = "naive-ubp",
 ) -> ReconImage:
-    """Two-dimensional universal back-projection of one set of pressure (or
-    deliberately uncorrected attenuated pressure) traces: a
-    :class:`BackProjector` on the traces' own geometry, used once."""
-    projector = BackProjector(wave.sensors, wave.time_grid, grid, du, dist_step)
-    (values,) = projector.project([wave])
-    return projector.image(values, method)
+    """:func:`back_project` of one set of traces, tagged ``method``."""
+    return back_project({method: wave}, grid, du, dist_step)[method]
 
 
 TraceFunctions = tuple  # (pressure_fn, dpressure_fn), each (sensor_index, times) -> values
@@ -373,9 +341,6 @@ def ubp_3d_spherical(
     )
 
 
-METHOD_TAGS = {"naive": "naive-ubp", "compensated": "compensated", "full": "full"}
-
-
 def compensated_traces(pa: WaveData, k_inf: float) -> WaveData:
     """Exponential compensation: rescale the integrated data by
     ``exp(k_inf t)`` and differentiate.  Exact for a constant law; for a
@@ -395,14 +360,22 @@ def full_traces(pa: WaveData, system: AttenuationSystem,
     return time_differentiate(q)
 
 
+def full_provenance(system: AttenuationSystem, regularization: float | None = None) -> dict:
+    """What the image of :func:`full_traces` records of its inversion."""
+    out = {"system": system.fingerprint}
+    if regularization is not None:
+        out["regularization"] = regularization
+    return out
+
+
 def reconstruct_naive(pa: WaveData, grid: ImageGrid) -> ReconImage:
     """Plain universal back-projection, deliberately ignoring attenuation."""
-    return ubp_2d(pa, grid, method=METHOD_TAGS["naive"])
+    return ubp_2d(pa, grid)
 
 
 def reconstruct_compensated(pa: WaveData, k_inf: float, grid: ImageGrid) -> ReconImage:
     """Back-projection of :func:`compensated_traces`."""
-    return ubp_2d(compensated_traces(pa, k_inf), grid, method=METHOD_TAGS["compensated"])
+    return ubp_2d(compensated_traces(pa, k_inf), grid, method="compensated")
 
 
 def reconstruct_full(
@@ -412,8 +385,6 @@ def reconstruct_full(
     regularization: float | None = None,
 ) -> ReconImage:
     """Back-projection of :func:`full_traces`."""
-    img = ubp_2d(full_traces(pa, system, regularization), grid, method=METHOD_TAGS["full"])
-    img.provenance["system"] = system.fingerprint
-    if regularization is not None:
-        img.provenance["regularization"] = regularization
+    img = ubp_2d(full_traces(pa, system, regularization), grid, method="full")
+    img.provenance.update(full_provenance(system, regularization))
     return img

@@ -411,11 +411,12 @@ class TestRunScenario:
             reconstruct_scenario(cfg, pa)
 
     def test_stage_failure_names_stage(self):
-        # an image grid poking outside the circle fails inside back-projection
+        # an image grid poking outside the circle is rejected once the
+        # inversion sensors are known, before the traces are corrected
         from attenpat.experiments import ScenarioStageError
 
         cfg = ScenarioConfig(model=ConstantModel(0.45), image_half_extent=2.5, **SMALL)
-        with pytest.raises(ScenarioStageError, match="back-projection"):
+        with pytest.raises(ScenarioStageError, match="resample"):
             run_scenario(cfg)
 
     def test_constant_circle_cross_section_peak(self):

@@ -4,9 +4,9 @@ import pytest
 from attenpat.attenuation import build_system
 from attenpat.models import ConstantModel, NswModel
 from attenpat.recon import (
-    BackProjector,
     ImageGrid,
     ReconImage,
+    back_project,
     reconstruct_compensated,
     reconstruct_full,
     reconstruct_naive,
@@ -236,51 +236,59 @@ class TestUbp2d:
             ubp_2d(w, ImageGrid.centered(16, 1.0))
 
 
-class TestBackProjector:
+class TestBackProject:
     @pytest.mark.parametrize(
         "duration, sensors",
         [(6.0, SensorArray.circle(1.7, 48)), (4.0, SensorArray.line(10.2, 1.7, 64))],
         ids=["circle", "line-cut-by-duration"],
     )
-    def test_stacked_members_match_interp_reference(self, duration, sensors):
+    def test_stacked_members_match_interp_reference(self, monkeypatch, duration, sensors):
+        import attenpat.recon as recon
         from oracles import interp_ubp_2d
 
+        tables = []
+        inner = recon._inner_weight_matrix
+
+        def spy(times, dist_nodes, *rest):
+            tables.append((dist_nodes, inner(times, dist_nodes, *rest)))
+            return tables[-1][1]
+
+        monkeypatch.setattr(recon, "_inner_weight_matrix", spy)
         tg = TimeGrid.from_duration(duration, 50)
         grid = ImageGrid.centered(24, 1.0)
         rng = np.random.default_rng(23)
-        waves = [_wave(rng.standard_normal((50, sensors.n)), tg, sensors, kind)
-                 for kind in ("pressure", "attenuated", "pressure")]
-        projector = BackProjector(sensors, tg, grid)
-        images = projector.project(waves)
-        assert len(images) == 3
-        for wave, img in zip(waves, images):
-            ref = interp_ubp_2d(wave, grid, projector.dist_nodes, projector.weights)
-            assert np.max(np.abs(img - ref)) <= 1e-12 * np.abs(ref).max()
+        waves = {kind + str(i): _wave(rng.standard_normal((50, sensors.n)), tg, sensors, kind)
+                 for i, kind in enumerate(("pressure", "attenuated", "pressure"))}
+        images = back_project(waves, grid)
+        assert len(tables) == 1 and list(images) == list(waves)
+        nodes, weights = tables[0]
+        for tag, wave in waves.items():
+            ref = interp_ubp_2d(wave, grid, nodes, weights)
+            assert images[tag].method == tag
+            assert np.max(np.abs(images[tag].values - ref)) <= 1e-12 * np.abs(ref).max()
         if sensors.kind == "line":  # the recording window does cut the table
             d = np.linalg.norm(sensors.points[:, None] - grid.points()[None], axis=2)
-            assert np.any(d > projector.dist_nodes[-1])
+            assert np.any(d > nodes[-1])
 
     def test_stack_members_do_not_interact(self):
         tg = TimeGrid.from_duration(6.0, 60)
         sensors = SensorArray.circle(1.7, 40)
+        grid = ImageGrid.centered(20, 1.0)
         rng = np.random.default_rng(5)
         a, b = (_wave(rng.standard_normal((60, 40)), tg, sensors) for _ in range(2))
-        projector = BackProjector(sensors, tg, ImageGrid.centered(20, 1.0))
-        assert np.array_equal(projector.project([a, b])[1], projector.project([b])[0])
-        assert np.array_equal(projector.project([a, b])[0], projector.project([a])[0])
+        both = back_project({"a": a, "b": b}, grid)
+        assert np.array_equal(both["b"].values, back_project({"b": b}, grid)["b"].values)
+        assert np.array_equal(both["a"].values, back_project({"a": a}, grid)["a"].values)
 
-    def test_stack_off_the_projector_geometry_rejected(self):
+    def test_stack_off_one_geometry_rejected(self):
         tg = TimeGrid.from_duration(6.0, 60)
         sensors = SensorArray.circle(1.7, 40)
-        projector = BackProjector(sensors, tg, ImageGrid.centered(20, 1.0))
         good = _wave(np.zeros((60, 40)), tg, sensors)
         other_times = _wave(np.zeros((61, 40)), TimeGrid.from_duration(6.0, 61), sensors)
         other_sensors = _wave(np.zeros((60, 40)), tg, SensorArray.circle(1.8, 40))
         for bad in (other_times, other_sensors):
-            with pytest.raises(ValueError, match="time grid and sensors"):
-                projector.project([good, bad])
-        # equal geometry built separately is accepted
-        assert projector.project([_wave(np.zeros((60, 40)), tg, SensorArray.circle(1.7, 40))])
+            with pytest.raises(ValueError, match="one time grid and one sensor array"):
+                back_project({"good": good, "bad": bad}, ImageGrid.centered(20, 1.0))
 
 
 class TestUbp3d:
