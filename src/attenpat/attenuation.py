@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-import scipy.linalg as la
 
 from .models import (
     AttenuationModel,
@@ -212,11 +211,13 @@ class AttenuationSystem:
 
     def lu(self) -> tuple:
         if self._lu is None:
+            import scipy.linalg as la  # loaded at the first factorization only
             self._lu = la.lu_factor(self.matrix)
         return self._lu
 
     def condition_estimate(self) -> float:
         """Reciprocal-free 1-norm condition estimate of M."""
+        import scipy.linalg as la
         lu, _ = self.lu()
         anorm = float(np.linalg.norm(self.matrix, 1))
         rcond = la.lapack.dgecon(lu, anorm, norm="1")[0]
@@ -319,6 +320,7 @@ def invert_attenuation(
     if wave.kind != "attenuated_integrated":
         raise ValueError(f"expected kind 'attenuated_integrated', got {wave.kind!r}")
     _check_grid(system, wave)
+    import scipy.linalg as la  # both branches factor a matrix
     m = system.matrix
     if regularization is None:
         cond = system.condition_estimate()

@@ -259,6 +259,9 @@ class ScenarioConfig:
         if spec["kind"] == "disk" and spec["radius"] >= half:
             raise ConfigError(f"phantom.radius: must be < the half extent {half!r}, "
                               f"got {spec['radius']!r}")
+        # the image grid strictly inside the inversion geometry, as back_project needs
+        sensors = _convert("geometry.count", self.sensors, self.inversion_sensor_count)
+        _convert("image_half_extent", partial(check_inside, sensors), self.image_grid().points())
 
     # --- derived pieces -------------------------------------------------
     def forward_time_grid(self) -> TimeGrid:
@@ -505,7 +508,6 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
             and inv_sensors.params == pa.sensors.params
         )
         pa_inv = pa if same else resample_data(pa, inv_tg, inv_sensors)
-        check_inside(pa_inv.sensors, grid.points())
 
     traces = {"naive": pa_inv}
     if "compensated" in config.methods():

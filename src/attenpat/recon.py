@@ -241,6 +241,7 @@ def back_project(
         weights = _inner_weight_matrix(tg.times, np.linspace(d_lo, d_hi, n_d), tg.duration, du)
         # (n_sensors, n_d) per trace set: each sensor's profile is contiguous
         profiles = [_dt_ratio_traces(wave).T @ weights.T for wave in waves.values()]
+        slopes = [np.diff(phi, axis=1) for phi in profiles]
 
         # The grid is a tensor product, so per sensor the distance and n.(xi - x)
         # separate into x and y parts, and the uniform distance axis turns
@@ -258,8 +259,8 @@ def back_project(
             nx, ny = sensors.weights[j] * sensors.normals[j]
             ndot = np.add.outer(nx * dx, ny * dy)
             ndot[d > d_hi] = 0.0
-            for img, phi in zip(images, profiles):
-                val = np.diff(phi[j]).take(idx)
+            for img, phi, slope in zip(images, profiles, slopes):
+                val = slope[j].take(idx)
                 val *= frac
                 val += phi[j].take(idx)
                 val *= ndot

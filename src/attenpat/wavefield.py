@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import ifft, irfft, next_fast_len, rfft2
+from numpy.fft import ifft, irfft, rfft2
 
 __all__ = [
     "TimeGrid",
@@ -41,6 +41,15 @@ __all__ = [
 MARGIN = 0.5
 # largest propagator grid side, in points: the memory guard of one phantom
 MAX_GRID_SIZE = 2048
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth length >= ``n``, as ``scipy.fft.next_fast_len``: a
+    length m < 2**64 divides 2310**64 (2310 = 2*3*5*7*11) iff it is 11-smooth."""
+    m = max(n, 1)
+    while pow(2310, 64, m):
+        m += 1
+    return m
 
 
 @dataclass(frozen=True)
@@ -239,6 +248,20 @@ class Phantom:
         ys = self.origin[1] + self.spacing * np.array([0.0, ny - 1.0])
         return float(np.hypot(np.abs(xs).max(), np.abs(ys).max()))
 
+    def support_box(self) -> tuple:
+        """``((xlo, xhi), (ylo, yhi))`` outside which :meth:`evaluate` is zero: the
+        union of the ellipses' rotated bounding boxes, else the raster extent."""
+        if self.ellipses is None:
+            (x0, y0), (nx, ny) = self.origin, self.values.shape
+            return (x0, x0 + (nx - 1) * self.spacing), (y0, y0 + (ny - 1) * self.spacing)
+        cx, cy, a, b, phi = np.array(
+            [(*e.center, *e.axes, np.deg2rad(e.angle_deg)) for e in self.ellipses]
+        ).reshape(-1, 5).T
+        hx = np.hypot(a * np.cos(phi), b * np.sin(phi))
+        hy = np.hypot(a * np.sin(phi), b * np.cos(phi))
+        return ((min(cx - hx, default=0.0), max(cx + hx, default=0.0)),
+                (min(cy - hy, default=0.0), max(cy + hy, default=0.0)))
+
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Sample the phantom at arbitrary points (exact for ellipse phantoms,
         bilinear with zero extension otherwise)."""
@@ -373,7 +396,7 @@ class SpectralPropagator:
             side = duration + sensor_reach + phantom.support_radius + MARGIN
             side = max(side, 2.0 * (sensor_reach + MARGIN))
         dx = target_dx if target_dx is not None else phantom.spacing
-        size = next_fast_len(int(np.ceil(side / dx)))
+        size = _next_fast_len(int(np.ceil(side / dx)))
         if size > MAX_GRID_SIZE:
             raise ValueError(
                 f"propagator grid {size}x{size} exceeds the {MAX_GRID_SIZE}x{MAX_GRID_SIZE} "
@@ -384,8 +407,11 @@ class SpectralPropagator:
         self.dx = side / size
         self.axis = (np.arange(size) - size // 2) * self.dx
 
-        X, Y = np.meshgrid(self.axis, self.axis, indexing="ij")
-        h = phantom.evaluate(X, Y)
+        # evaluate only on the block (padded by a step) outside which the phantom is zero
+        bx, by = (slice(*np.searchsorted(self.axis, [lo - self.dx, hi + self.dx]))
+                  for lo, hi in phantom.support_box())
+        h = np.zeros((size, size))
+        h[bx, by] = phantom.evaluate(*np.meshgrid(self.axis[bx], self.axis[by], indexing="ij"))
         self.h_max = float(np.abs(h).max())
         self.h_hat = rfft2(h)
         kx = 2.0 * np.pi * np.fft.fftfreq(size, self.dx)
@@ -422,16 +448,19 @@ class SpectralPropagator:
     def h_hat(self, value: np.ndarray) -> None:
         # kept transposed so the inverse transform along kx is contiguous
         self._h_hat_t = np.ascontiguousarray(np.asarray(value).T)
+        # reused by every step: a fresh spectrum beside ifft's output refaulted pages
+        self._spec = np.empty_like(self._h_hat_t)
 
     def pressure_field(self, t: float, rows: np.ndarray | None = None) -> np.ndarray:
         """Pressure on the grid at time ``t``, or on the grid rows ``rows`` only.
 
         Bitwise equal to ``irfft2(h_hat * cos(abs_k * t))``: the same
-        transforms in the same order, with the final real transform run
-        only on the requested rows.
+        ``numpy.fft`` transforms in the same order, with the final real
+        transform run only on the requested rows.
         """
-        spec = self._h_hat_t * np.cos(self._k_unique * t)[self._k_inverse]
-        z = ifft(spec, axis=1, norm="forward", overwrite_x=True).T
+        cos = np.cos(self._k_unique * t)[self._k_inverse]
+        spec = np.multiply(self._h_hat_t, cos, out=self._spec)
+        z = ifft(spec, axis=1, norm="forward").T
         z = np.ascontiguousarray(z if rows is None else z[rows])
         return irfft(z, self.size, axis=1, norm="forward") * self._norm
 

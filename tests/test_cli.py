@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import attenpat
 from attenpat.cli import main
 from attenpat.gridio import read_csv, read_grid, write_grid
 
@@ -168,3 +173,29 @@ class TestPipelineCommands:
         c = read_grid(out3 / "data_forward.atw").values
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+# Which scipy modules a fresh interpreter holds after each step: the CLI
+# import and the forward half run on numpy alone, the first LU loads scipy.linalg.
+IMPORT_PROBE = """
+import json, sys
+import attenpat.cli
+from attenpat.experiments import ScenarioConfig, reconstruct_scenario, simulate_scenario
+loaded = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+cfg = ScenarioConfig.from_dict(json.loads(sys.argv[1]))
+pa, phantom, _ = simulate_scenario(cfg)
+loaded["simulate"] = "scipy.linalg" in sys.modules
+reconstruct_scenario(cfg, pa, phantom)
+loaded["reconstruct"] = "scipy.linalg" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_to_factor():
+    src = str(Path(attenpat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(SMALL_SCENARIO)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert json.loads(out) == {"import": [], "simulate": False, "reconstruct": True}

@@ -10,6 +10,7 @@ from attenpat.experiments import (
     ScenarioConfig,
     add_noise,
     cross_section,
+    reconstruct_scenario,
     rel_l2_error,
     resample_data,
     run_scenario,
@@ -300,6 +301,9 @@ class TestScenarioConfig:
             ({"phantom": {"kind": "disk", "radius": 0.5, "half_extent": 0.5}}, "phantom.radius"),
             ({"phantom": {"kind": "shepp-logan", "half_extent": 0.7}}, "phantom.half_extent"),
             ({"image_half_extent": 0.5}, "image_half_extent"),
+            # the image grid must lie strictly inside the inversion geometry
+            ({"image_half_extent": 2.5}, "image_half_extent"),
+            ({"geometry": {"kind": "line", "standoff": 0.5}}, "image_half_extent"),
         ],
     )
     def test_bad_section_named(self, raw, field):
@@ -411,13 +415,15 @@ class TestRunScenario:
             reconstruct_scenario(cfg, pa)
 
     def test_stage_failure_names_stage(self):
-        # an image grid poking outside the circle is rejected once the
-        # inversion sensors are known, before the traces are corrected
+        # traces recorded on a line cannot be resampled onto a circle config
         from attenpat.experiments import ScenarioStageError
 
-        cfg = ScenarioConfig(model=ConstantModel(0.45), image_half_extent=2.5, **SMALL)
+        cfg = ScenarioConfig(model=ConstantModel(0.45), **SMALL)
+        tg = cfg.forward_time_grid()
+        sensors = SensorArray.line(10.2, 1.7, cfg.forward_sensor_count)
+        pa = _wave(np.zeros((tg.count, sensors.n)), tg, sensors)
         with pytest.raises(ScenarioStageError, match="resample"):
-            run_scenario(cfg)
+            reconstruct_scenario(cfg, pa)
 
     def test_constant_circle_cross_section_peak(self):
         # full pipeline at benchmark scale: the section through the center

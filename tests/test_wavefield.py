@@ -16,6 +16,7 @@ from attenpat.wavefield import (
     phantom_from_ellipses,
     spectral_forward,
 )
+from attenpat.wavefield import _next_fast_len
 from oracles import sphere_mean_indicator
 
 
@@ -247,6 +248,32 @@ class TestSpectralPropagator:
         sensors = SensorArray.circle(1.2, 8)
         with pytest.raises(ValueError, match="outside"):
             SpectralPropagator(ph, sensors, duration=1.0, target_dx=0.02, side=2.0)
+
+    @pytest.mark.parametrize(
+        "phantom",
+        [
+            make_shepp_logan(96),
+            disk_phantom(0.4, 1.0, 64),
+            # the second ellipse reaches past the raster's half extent 0.9
+            phantom_from_ellipses([Ellipse(1.0, (0.3, -0.2), (0.5, 0.15), 35.0),
+                                   Ellipse(-0.5, (-0.6, 0.5), (0.7, 0.2), -60.0)], 64, 0.9),
+            # a coarse raster: non-zero up to its edges, ellipses=None
+            Phantom(values=np.ones((20, 16)), spacing=0.1, origin=(-0.95, -0.6)),
+        ],
+        ids=["shepp-logan", "disk", "rotated-ellipses", "raster"],
+    )
+    def test_block_raster_equals_full_grid(self, phantom):
+        prop = SpectralPropagator(phantom, SensorArray.circle(1.2, 8), duration=2.0,
+                                  target_dx=0.02)
+        X, Y = np.meshgrid(prop.axis, prop.axis, indexing="ij")
+        assert np.array_equal(prop.h_hat, np.fft.rfft2(phantom.evaluate(X, Y)))
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    lengths = range(1, 4097)
+    assert [_next_fast_len(n) for n in lengths] == [next_fast_len(n) for n in lengths]
 
 
 class TestWaveData:
