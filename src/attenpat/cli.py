@@ -103,6 +103,7 @@ def _write_scenario_artifacts(result, outdir: Path) -> None:
     metrics = {
         "errors": result.errors,
         "runtimes": result.runtimes,
+        "diagnostics": result.diagnostics,
         "noise_level": result.config.noise_level,
         "seed": result.config.seed,
     }

@@ -342,6 +342,7 @@ class ScenarioResult:
     errors: dict
     cross_sections: dict  # name -> (coordinates, values)
     runtimes: dict
+    diagnostics: dict  # "condition": exact 1-norm condition of M, unregularized only
 
 
 def add_noise(wave: WaveData, level: float, seed: int) -> WaveData:
@@ -522,6 +523,9 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
             num_nodes=config.quad_nodes,
         )
         traces["full"] = full_traces(pa_inv, system, regularization=config.regularization)
+        # the direct solve has computed M^{-1}, so its condition is free
+        regularized = config.regularization is not None
+        diagnostics = {} if regularized else {"condition": system.condition_estimate()}
 
     with _stage("back-projection", runtimes):
         tags = {"naive": "naive-ubp", "compensated": "compensated", "full": "full"}
@@ -544,6 +548,7 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
         errors=errors,
         cross_sections=sections,
         runtimes=runtimes,
+        diagnostics=diagnostics,
     )
 
 

@@ -255,7 +255,6 @@ class TestApplyInvert:
         with pytest.raises(ValueError):
             invert_attenuation(system, wave, regularization=0.0)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_system_raises_conditioning_error(self):
         tg = TimeGrid.from_duration(1.0, 20)
         matrix = np.eye(20)
@@ -271,6 +270,73 @@ class TestApplyInvert:
         # Tikhonov path still delivers a finite answer
         out = invert_attenuation(system, wave, regularization=1e-8)
         assert np.all(np.isfinite(out.values))
+
+    def test_nearly_singular_system_raises_conditioning_error(self):
+        # two columns equal up to a 1e-17 perturbation: no exact zero pivot,
+        # so the inverse exists and only its condition refuses the solve
+        tg = TimeGrid.from_duration(1.0, 20)
+        rng = np.random.default_rng(13)
+        matrix = rng.standard_normal((20, 20))
+        matrix[:, 7] = matrix[:, 3] + 1e-17 * rng.standard_normal(20)
+        system = AttenuationSystem(
+            matrix=matrix, time_grid=tg, model_tag="forged", k_inf=0.0,
+            order=1, omega_max=1.0, num_nodes=8,
+        )
+        wave = _wave(np.ones((20, 2)), tg, kind="attenuated_integrated")
+        with pytest.raises(ConditioningError) as err:
+            invert_attenuation(system, wave)
+        assert np.isfinite(err.value.condition)
+        assert err.value.condition > 0.01 / np.finfo(float).eps
+
+    def test_random_round_trip_on_nsw_443(self):
+        system = build_system(NSW, GRID_443, order=10)
+        q = np.random.default_rng(17).standard_normal((443, 6))
+        back = invert_attenuation(system, apply_attenuation(system, _wave(q, GRID_443)))
+        assert np.max(np.abs(back.values - q)) <= 1e-10 * np.max(np.abs(q))
+
+    def test_one_inverse_serves_condition_and_solves(self, monkeypatch):
+        real_inv = np.linalg.inv
+        calls = []
+
+        def spy(a):
+            calls.append(a.shape)
+            return real_inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", spy)
+        system = build_system(NSW, GRID_443, order=10)
+        qa = apply_attenuation(system, _wave(np.ones((443, 3)), GRID_443))
+        first = invert_attenuation(system, qa)
+        assert system.condition_estimate() > 1.0
+        second = invert_attenuation(system, qa)
+        assert calls == [(443, 443)]
+        assert np.array_equal(first.values, second.values)
+
+
+class TestConditioning:
+    def test_condition_is_exact_one_norm(self):
+        from scipy.linalg import lapack, lu_factor
+
+        system = build_system(NSW, GRID_443, order=10)
+        cond = system.condition_estimate()
+        assert cond == pytest.approx(np.linalg.cond(system.matrix, 1), rel=1e-12)
+        # LAPACK's dgecon estimate is a lower bound of the exact value
+        anorm = np.linalg.norm(system.matrix, 1)
+        rcond = lapack.dgecon(lu_factor(system.matrix)[0], anorm, norm="1")[0]
+        assert cond >= 1.0 / rcond
+
+    def test_conditioning_is_the_exponential_factor(self):
+        # the paper's "moderately ill-posed" step: with the band following
+        # the grid, cond_2(M) approaches e^{k_inf T} from below as n doubles
+        # and does not grow past it
+        bound = np.exp(k_infinity(NSW) * 6.0)
+        ratios = [
+            np.linalg.cond(
+                build_system(NSW, TimeGrid.from_duration(6.0, n), omega_max=1e4).matrix
+            ) / bound
+            for n in (221, 443, 886)
+        ]
+        assert ratios[0] < ratios[1] < ratios[2]
+        assert all(0.9 <= r <= 1.0 for r in ratios)
 
 
 def test_fingerprint_names_grid_and_model():

@@ -371,12 +371,23 @@ class TestRunScenario:
             "reconstruct-full", "back-projection", "metrics",
         }
         assert all(t >= 0 for t in res.runtimes.values())
+        assert set(res.diagnostics) == {"condition"}
+        assert 1.0 < res.diagnostics["condition"] < np.inf
+
+    def test_regularized_scenario_records_no_condition(self):
+        cfg = ScenarioConfig(model=NswModel(0.11, 0.10), seed=1, regularization=1e-3, **SMALL)
+        res = run_scenario(cfg)
+        assert res.diagnostics == {}
+        assert res.reconstructions["full"].provenance["regularization"] == 1e-3
 
     def test_constant_scenario_skips_compensated(self):
         cfg = ScenarioConfig(model=ConstantModel(0.45), seed=1, **SMALL)
         res = run_scenario(cfg)
         assert set(res.reconstructions) == {"naive", "full"}
         assert res.errors["full"] < res.errors["naive"]
+        # M is diag(e^{-k_inf t}): its 1-norm condition is e^{k_inf T}
+        t_end = res.data.time_grid.times[-1] - res.data.time_grid.times[0]
+        assert res.diagnostics["condition"] == pytest.approx(np.exp(0.45 * t_end), rel=1e-12)
 
     def test_determinism_bitwise(self):
         cfg = ScenarioConfig(model=NswModel(0.11, 0.10), noise_level=0.2, seed=3, **SMALL)
