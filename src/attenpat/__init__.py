@@ -22,8 +22,6 @@ from .wavefield import (
     SensorArray,
     TimeGrid,
     WaveData,
-    ball_nwave_integrated,
-    ball_nwave_oracle,
     disk_phantom,
     make_sensors,
     make_shepp_logan,

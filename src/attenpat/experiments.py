@@ -13,7 +13,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
-from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -22,10 +21,12 @@ from .attenuation import apply_attenuation, build_system
 from .models import (
     AttenuationModel,
     ConstantModel,
+    finite_int,
     finite_real,
     k_infinity,
     model_from_spec,
     model_to_spec,
+    positive_real,
 )
 from .recon import (
     ImageGrid,
@@ -101,21 +102,6 @@ def _convert(key: str, convert, value):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _int(value, least: int = 1) -> int:
-    """Strict ``int`` >= ``least``: a JSON integer or integral float, no bool or string."""
-    if isinstance(value, bool) or not isinstance(value, Real) or value % 1:
-        raise ValueError(f"expected an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"must be >= {least}, got {value!r}")
-    return int(value)
-
-
-def _positive(value) -> float:
-    if finite_real(value) <= 0:
-        raise ValueError(f"must be > 0, got {value!r}")
-    return float(value)
-
-
 def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
@@ -151,7 +137,7 @@ def _ellipses(items) -> list:
         out.append({
             "intensity": finite_real(e.intensity),
             "center": _pair(e.center, finite_real),
-            "axes": _pair(e.axes, _positive),
+            "axes": _pair(e.axes, positive_real),
             "angle_deg": finite_real(e.angle_deg),
         })
     return out
@@ -160,7 +146,7 @@ def _ellipses(items) -> list:
 # phantom kind -> converter of each key it reads besides kind, grid_size and half_extent
 _PHANTOM_KEYS = {
     "shepp-logan": {},
-    "disk": {"radius": _positive, "intensity": finite_real},
+    "disk": {"radius": positive_real, "intensity": finite_real},
     "ellipses": {"items": _ellipses},
 }
 
@@ -173,7 +159,7 @@ def _phantom(spec) -> dict:
     kind = spec.get("kind", "shepp-logan")
     if not isinstance(kind, str) or kind not in _PHANTOM_KEYS:
         raise ConfigError(f"phantom.kind: unknown value {kind!r}")
-    keys = {"kind": str, "grid_size": _int, "half_extent": _positive, **_PHANTOM_KEYS[kind]}
+    keys = dict(kind=str, grid_size=finite_int, half_extent=positive_real, **_PHANTOM_KEYS[kind])
     for key in spec:
         if key not in keys:
             raise ConfigError(f"phantom.{key}: unknown field for kind {kind!r}")
@@ -197,7 +183,7 @@ def _regularization(value) -> Optional[float]:
             if key not in ("kind", "lam"):
                 raise ConfigError(f"regularization.{key}: unknown config field")
         value = value.get("lam")
-    return _convert("regularization.lam", _positive, value)
+    return _convert("regularization.lam", positive_real, value)
 
 
 def _field(convert, key: str, dump=lambda value: value, **default):
@@ -215,31 +201,30 @@ class ScenarioConfig:
         _model, "model", model_to_spec, default_factory=lambda: ConstantModel(k_inf=0.45)
     )
     geometry: str = _field(_geometry, "geometry.kind", default="circle")
-    radius: float = _field(_positive, "geometry.radius", default=1.7)
-    line_length: float = _field(_positive, "geometry.length", default=10.2)
-    standoff: float = _field(_positive, "geometry.standoff", default=1.7)
+    radius: float = _field(positive_real, "geometry.radius", default=1.7)
+    line_length: float = _field(positive_real, "geometry.length", default=10.2)
+    standoff: float = _field(positive_real, "geometry.standoff", default=1.7)
     # None means 6 for a circle, 8 for a line
-    duration: Optional[float] = _field(_optional(_positive), "duration", default=None)
-    forward_time_count: int = _field(_int, "forward_time_count", default=500)
-    forward_sensor_count: int = _field(_int, "forward_sensor_count", default=896)
-    inversion_time_count: int = _field(_int, "inversion_time_count", default=443)
-    inversion_sensor_count: int = _field(_int, "geometry.count", default=849)
-    image_size: int = _field(_int, "image_size", default=128)
-    image_half_extent: float = _field(_positive, "image_half_extent", default=1.0)
+    duration: Optional[float] = _field(_optional(positive_real), "duration", default=None)
+    forward_time_count: int = _field(finite_int, "forward_time_count", default=500)
+    forward_sensor_count: int = _field(finite_int, "forward_sensor_count", default=896)
+    inversion_time_count: int = _field(finite_int, "inversion_time_count", default=443)
+    inversion_sensor_count: int = _field(finite_int, "geometry.count", default=849)
+    image_size: int = _field(finite_int, "image_size", default=128)
+    image_half_extent: float = _field(positive_real, "image_half_extent", default=1.0)
     phantom: dict = _field(
         _phantom, "phantom", default_factory=lambda: {"kind": "shepp-logan"}
     )
     noise_level: float = _field(partial(finite_real, least=0.0), "noise.level", default=0.0)
-    seed: int = _field(partial(_int, least=0), "noise.seed", default=0)
-    taylor_order: int = _field(_int, "taylor_order", default=10)
-    forward_taylor_order: int = _field(_int, "forward_taylor_order", default=14)
-    omega_max: float = _field(_positive, "omega_max", default=200.0)
-    quad_nodes: int = _field(_int, "quad_nodes", default=2**14)
-    forward_quad_nodes: int = _field(_int, "forward_quad_nodes", default=2**15)
+    seed: int = _field(partial(finite_int, least=0), "noise.seed", default=0)
+    taylor_order: int = _field(finite_int, "taylor_order", default=10)
+    forward_taylor_order: int = _field(finite_int, "forward_taylor_order", default=14)
+    omega_max: float = _field(positive_real, "omega_max", default=200.0)
+    quad_nodes: int = _field(finite_int, "quad_nodes", default=2**14)
+    forward_quad_nodes: int = _field(finite_int, "forward_quad_nodes", default=2**15)
     regularization: Optional[float] = _field(
         _regularization, "regularization", lambda lam: lam or "none", default=None
     )
-    target_dx: Optional[float] = _field(_optional(_positive), "target_dx", default=None)
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -447,11 +432,11 @@ def _forward_pressure(config: ScenarioConfig, phantom: Phantom) -> WaveData:
     key = (
         phantom.values.shape, phantom.spacing, phantom.origin,
         phantom.ellipses if phantom.ellipses is not None else phantom.values.tobytes(),
-        sensors.kind, sensors.points.tobytes(), tg, config.target_dx,
+        sensors.kind, sensors.points.tobytes(), tg,
     )
     cached = _FORWARD_CACHE.get(key)
     if cached is None:
-        cached = spectral_forward(phantom, tg, sensors, target_dx=config.target_dx)
+        cached = spectral_forward(phantom, tg, sensors)
         if len(_FORWARD_CACHE) >= _FORWARD_CACHE_LIMIT:
             _FORWARD_CACHE.pop(next(iter(_FORWARD_CACHE)))
         _FORWARD_CACHE[key] = cached

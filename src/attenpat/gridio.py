@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .models import finite_int, finite_real, keyed
 from .recon import ImageGrid, ReconImage
 from .wavefield import TimeGrid, WaveData, make_sensors
 
@@ -123,10 +124,14 @@ def save_wave(path, wave: WaveData) -> None:
 def load_wave(path) -> WaveData:
     data = read_grid(path)
     meta = json.loads(_sidecar(path).read_text())
-    if meta.get("type") != "wave":
+    if not isinstance(meta, dict) or meta.get("type") != "wave":
         raise ValueError(f"{path}: sidecar does not describe wave data")
-    tg = TimeGrid(dt=float(meta["dt"]), count=int(meta["time_count"]))
-    sensors = make_sensors(meta["geometry"])
+    try:
+        tg = TimeGrid(dt=keyed("dt", finite_real, meta.get("dt")),
+                      count=keyed("time_count", finite_int, meta.get("time_count")))
+        sensors = make_sensors(meta.get("geometry"))
+    except ValueError as exc:
+        raise ValueError(f"{_sidecar(path)}: {exc}") from exc
     return WaveData(data.values, tg, sensors, kind=data.kind)
 
 

@@ -38,6 +38,9 @@ __all__ = [
     "model_from_spec",
     "model_to_spec",
     "finite_real",
+    "finite_int",
+    "positive_real",
+    "keyed",
     "model_tag",
 ]
 
@@ -55,9 +58,28 @@ def finite_real(value, least: float = -math.inf) -> float:
     return float(value)
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not np.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+def finite_int(value, least: int = 1) -> int:
+    """A JSON integer or integral float >= ``least``: no bool, string or fraction."""
+    if isinstance(value, bool) or not isinstance(value, Real) or value % 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"must be >= {least}, got {value!r}")
+    return int(value)
+
+
+def positive_real(value) -> float:
+    """A finite JSON number > 0."""
+    if finite_real(value) <= 0:
+        raise ValueError(f"must be > 0, got {value!r}")
+    return float(value)
+
+
+def keyed(key: str, convert, *args):
+    """``convert(*args)``, a TypeError or ValueError raised as a ValueError naming ``key``."""
+    try:
+        return convert(*args)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -67,8 +89,7 @@ class ConstantModel:
     k_inf: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.k_inf) or self.k_inf < 0:
-            raise ValueError(f"k_inf must be >= 0 and finite, got {self.k_inf!r}")
+        keyed("k_inf", finite_real, self.k_inf, 0.0)
 
 
 @dataclass(frozen=True)
@@ -89,8 +110,8 @@ class NswModel:
     tau_tilde: float
 
     def __post_init__(self) -> None:
-        _check_positive("tau", self.tau)
-        _check_positive("tau_tilde", self.tau_tilde)
+        keyed("tau", positive_real, self.tau)
+        keyed("tau_tilde", positive_real, self.tau_tilde)
         if self.tau_tilde > self.tau:
             raise ValueError(
                 f"tau_tilde must not exceed tau, got tau={self.tau!r}, "
@@ -110,9 +131,8 @@ class PowerLawModel:
     exponent: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.amplitude) or self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude!r}")
-        _check_positive("exponent", self.exponent)
+        keyed("amplitude", finite_real, self.amplitude, 0.0)
+        keyed("exponent", positive_real, self.exponent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,12 +153,13 @@ class TabulatedWeakModel:
         kstar = np.asarray(self.kstar, dtype=complex)
         if omega.ndim != 1 or omega.size < 2 or omega.shape != kstar.shape:
             raise ValueError("omega and kstar must be matching 1-D arrays")
+        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(kstar))):
+            raise ValueError("omega and kstar must be finite")
         if np.any(np.diff(omega) <= 0):
             raise ValueError("omega grid must be strictly increasing")
         if abs(omega[0] + omega[-1]) > 1e-9 * max(abs(omega[-1]), 1.0):
             raise ValueError("omega grid must be symmetric about 0")
-        if not np.isfinite(self.k_inf) or self.k_inf < 0:
-            raise ValueError(f"k_inf must be >= 0 and finite, got {self.k_inf!r}")
+        keyed("k_inf", finite_real, self.k_inf, 0.0)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "kstar", kstar)
 
@@ -345,6 +366,10 @@ def model_tag(model: AttenuationModel) -> str:
     raise TypeError(f"not an attenuation model: {model!r}")
 
 
+def _table(values) -> np.ndarray:
+    return np.array([finite_real(v) for v in values], dtype=float)
+
+
 def model_from_spec(spec: dict) -> AttenuationModel:
     """Build a model from a config mapping, e.g. ``{"kind": "nsw", "tau": 0.11, ...}``."""
     if not isinstance(spec, dict):
@@ -367,21 +392,13 @@ def model_from_spec(spec: dict) -> AttenuationModel:
     unknown = [k for k in spec if k != "kind" and k not in fields]
     if unknown:
         raise ValueError(f"model.{unknown[0]}: unknown field for kind {kind!r}")
-    numbers = {}
-    for key in fields:
-        if key not in ("omega", "kstar_real", "kstar_imag"):
-            try:
-                numbers[key] = finite_real(spec[key])
-            except ValueError as exc:
-                raise ValueError(f"model.{key}: {exc}") from exc
+    tables = ("omega", "kstar_real", "kstar_imag")
+    numbers = {key: keyed(f"model.{key}", _table if key in tables else finite_real, spec[key])
+               for key in fields}
     try:
         if kind == "tabulated":
-            return TabulatedWeakModel(
-                omega=np.asarray(spec["omega"], dtype=float),
-                kstar=np.asarray(spec["kstar_real"], dtype=float)
-                + 1j * np.asarray(spec["kstar_imag"], dtype=float),
-                **numbers,
-            )
+            kstar = numbers.pop("kstar_real") + 1j * numbers.pop("kstar_imag")
+            return TabulatedWeakModel(kstar=kstar, **numbers)
         return cls(**numbers)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"model: {exc}") from exc

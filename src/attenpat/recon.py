@@ -23,7 +23,6 @@ every pipeline lie on the same sensors and time grid, so one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -83,12 +82,6 @@ class ImageGrid:
         """Pixel centers, flattened in C order, shape ``(prod(shape), ndim)``."""
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
-
-    def index_of(self, point: Sequence[float]) -> tuple:
-        return tuple(
-            int(round((point[a] - self.origin[a]) / self.spacing))
-            for a in range(self.ndim)
-        )
 
 
 @dataclass(eq=False)
@@ -285,27 +278,17 @@ def ubp_2d(
     return back_project({method: wave}, grid, du, dist_step)[method]
 
 
-TraceFunctions = tuple  # (pressure_fn, dpressure_fn), each (sensor_index, times) -> values
-
-
-def ubp_3d_spherical(
-    traces: Union[WaveData, TraceFunctions],
-    sensors: SensorArray,
-    grid: ImageGrid,
-) -> ReconImage:
-    """Universal back-projection for a spherical array in 3-D:
+def ubp_3d_spherical(traces: WaveData, grid: ImageGrid) -> ReconImage:
+    """Universal back-projection for a spherical array in 3-D,
 
         h(x) = (2/Omega0) sum_j w_j [p(d_j) - d_j p'(d_j)] / d_j**2
-               * (n_j . (xi_j - x) / d_j),   Omega0 = 4 pi.
+               * (n_j . (xi_j - x) / d_j),   Omega0 = 4 pi,
 
-    ``traces`` is either sampled :class:`WaveData` (linear interpolation in
-    time, derivative by central differences) or a pair of callables
-    ``(p_fn, dp_fn)`` mapping ``(sensor_index, times) -> values``.  For
-    traces with jump discontinuities prefer the sampled form: the
-    finite-difference derivative smears each jump over the time step, which
-    is what lets the sensor sum pick up the jump's distributional
-    contribution; an exact classical derivative silently drops it.
+    of the pressure samples ``traces`` (linear in time; the derivative by central
+    differences, whose smearing of each jump over a time step lets the sensor
+    sum pick up the jump's distributional contribution).
     """
+    sensors = traces.sensors
     if sensors.kind != "sphere":
         raise ValueError("ubp_3d_spherical needs a spherical sensor array")
     if grid.ndim != 3:
@@ -314,26 +297,15 @@ def ubp_3d_spherical(
     if np.linalg.norm(pts, axis=1).max() >= sensors.params["radius"]:
         raise ValueError("image point on or outside the measurement sphere")
 
-    if isinstance(traces, WaveData):
-        times = traces.time_grid.times
-        vals = traces.values
-        dvals = np.gradient(vals, traces.time_grid.dt, axis=0)
-
-        def p_fn(j, t):
-            return np.interp(t, times, vals[:, j], left=0.0, right=0.0)
-
-        def dp_fn(j, t):
-            return np.interp(t, times, dvals[:, j], left=0.0, right=0.0)
-
-    else:
-        p_fn, dp_fn = traces
+    times, vals = traces.time_grid.times, traces.values
+    dvals = np.gradient(vals, traces.time_grid.dt, axis=0)
 
     img = np.zeros(pts.shape[0])
     for j in range(sensors.n):
         diff = sensors.points[j] - pts
         d = np.linalg.norm(diff, axis=1)
-        pj = p_fn(j, d)
-        dpj = dp_fn(j, d)
+        pj = np.interp(d, times, vals[:, j], left=0.0, right=0.0)
+        dpj = np.interp(d, times, dvals[:, j], left=0.0, right=0.0)
         ndot = diff @ sensors.normals[j]
         img += sensors.weights[j] * (pj - d * dpj) / d**2 * (ndot / d)
     img *= 2.0 / (4.0 * np.pi)

@@ -9,8 +9,7 @@ The forward solver is an exact-in-time Fourier spectral propagator for the
 with unit sound speed.  The domain is padded so that no periodic
 wraparound reaches any sensor within the recording window, which makes
 the computed traces exact free-space traces up to rasterization and
-band limitation.  An analytic 3-D ball solution serves as an independent
-oracle for the back-projection formulas.
+band limitation.
 """
 
 from __future__ import annotations
@@ -20,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 from numpy.fft import ifft, irfft, rfft2
+
+from .models import finite_int, finite_real, keyed
 
 __all__ = [
     "TimeGrid",
@@ -33,8 +34,6 @@ __all__ = [
     "make_sensors",
     "SpectralPropagator",
     "spectral_forward",
-    "ball_nwave_oracle",
-    "ball_nwave_integrated",
 ]
 
 # padding added to the propagator's domain side beyond the wave's reach
@@ -157,21 +156,22 @@ class SensorArray:
 
 
 def make_sensors(spec: dict) -> SensorArray:
-    """Build a sensor array from a config mapping."""
+    """Build a sensor array from a config mapping of strict JSON numbers."""
     if not isinstance(spec, dict):
         raise ValueError("geometry: expected a mapping with a 'kind' field")
     kind = spec.get("kind")
-    try:
-        if kind == "circle":
-            return SensorArray.circle(float(spec["radius"]), int(spec["count"]))
-        if kind == "line":
-            return SensorArray.line(
-                float(spec["length"]), float(spec["standoff"]), int(spec["count"])
-            )
-        if kind == "sphere":
-            return SensorArray.sphere_fibonacci(float(spec["radius"]), int(spec["count"]))
-    except KeyError as exc:
-        raise ValueError(f"geometry.{exc.args[0]}: missing for kind {kind!r}") from exc
+
+    def number(key, convert=finite_real):
+        if key not in spec:
+            raise ValueError(f"geometry.{key}: missing for kind {kind!r}")
+        return keyed(f"geometry.{key}", convert, spec[key])
+
+    if kind == "circle":
+        return SensorArray.circle(number("radius"), number("count", finite_int))
+    if kind == "line":
+        return SensorArray.line(number("length"), number("standoff"), number("count", finite_int))
+    if kind == "sphere":
+        return SensorArray.sphere_fibonacci(number("radius"), number("count", finite_int))
     raise ValueError(f"geometry.kind: unknown value {kind!r}")
 
 
@@ -387,14 +387,12 @@ class SpectralPropagator:
         sensors: SensorArray,
         duration: float,
         target_dx: float | None = None,
-        side: float | None = None,
     ):
         if sensors.dim != 2:
             raise ValueError("spectral propagator is 2-D; use 2-D sensors")
         sensor_reach = float(np.linalg.norm(sensors.points, axis=1).max())
-        if side is None:
-            side = duration + sensor_reach + phantom.support_radius + MARGIN
-            side = max(side, 2.0 * (sensor_reach + MARGIN))
+        side = duration + sensor_reach + phantom.support_radius + MARGIN
+        side = max(side, 2.0 * (sensor_reach + MARGIN))
         dx = target_dx if target_dx is not None else phantom.spacing
         size = _next_fast_len(int(np.ceil(side / dx)))
         if size > MAX_GRID_SIZE:
@@ -412,7 +410,6 @@ class SpectralPropagator:
                   for lo, hi in phantom.support_box())
         h = np.zeros((size, size))
         h[bx, by] = phantom.evaluate(*np.meshgrid(self.axis[bx], self.axis[by], indexing="ij"))
-        self.h_max = float(np.abs(h).max())
         self.h_hat = rfft2(h)
         kx = 2.0 * np.pi * np.fft.fftfreq(size, self.dx)
         ky = 2.0 * np.pi * np.fft.rfftfreq(size, self.dx)
@@ -495,27 +492,3 @@ def spectral_forward(
     for i, t in enumerate(time_grid.times):
         out[i] = prop.sample(prop.pressure_field(t, prop.rows))
     return WaveData(out, time_grid, sensors, kind="pressure")
-
-
-def ball_nwave_oracle(r0: float, distance: float, t) -> np.ndarray:
-    """Pressure at distance ``d`` from a unit-intensity ball of radius ``r0``
-    in 3-D: ``(d - t) / (2 d)`` for ``|d - t| <= r0``, zero otherwise."""
-    if not 0 < r0 < distance:
-        raise ValueError("requires 0 < r0 < distance")
-    t = np.asarray(t, dtype=float)
-    p = np.where(np.abs(distance - t) <= r0, (distance - t) / (2.0 * distance), 0.0)
-    return p if p.ndim else float(p)
-
-
-def ball_nwave_integrated(r0: float, distance: float, t) -> np.ndarray:
-    """Companion time-integrated trace ``(r0**2 - (d - t)**2) / (4 d)`` on the
-    same support as :func:`ball_nwave_oracle`."""
-    if not 0 < r0 < distance:
-        raise ValueError("requires 0 < r0 < distance")
-    t = np.asarray(t, dtype=float)
-    q = np.where(
-        np.abs(distance - t) <= r0,
-        (r0**2 - (distance - t) ** 2) / (4.0 * distance),
-        0.0,
-    )
-    return q if q.ndim else float(q)

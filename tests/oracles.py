@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own computational
 paths: direct quadrature instead of convolution recursions, explicit
 Python loops instead of matrix assembly, Monte-Carlo-free geometric
-means instead of wave solvers.
+means and the closed-form 3-D ball traces instead of wave solvers.
 """
 
 import numpy as np
@@ -115,6 +115,30 @@ def interp_ubp_2d(wave, grid, dist_nodes, weights):
         ndot = diff @ sensors.normals[j]
         img += sensors.weights[j] * val * ndot
     return (-4.0 / omega0) * img.reshape(grid.shape)
+
+
+def ball_nwave_oracle(r0, distance, t):
+    """Pressure at distance ``d`` from a unit-intensity ball of radius ``r0``
+    in 3-D: ``(d - t) / (2 d)`` for ``|d - t| <= r0``, zero otherwise."""
+    if not 0 < r0 < distance:
+        raise ValueError("requires 0 < r0 < distance")
+    t = np.asarray(t, dtype=float)
+    p = np.where(np.abs(distance - t) <= r0, (distance - t) / (2.0 * distance), 0.0)
+    return p if p.ndim else float(p)
+
+
+def ball_nwave_integrated(r0, distance, t):
+    """Companion time-integrated trace ``(r0**2 - (d - t)**2) / (4 d)`` on the
+    same support as :func:`ball_nwave_oracle`."""
+    if not 0 < r0 < distance:
+        raise ValueError("requires 0 < r0 < distance")
+    t = np.asarray(t, dtype=float)
+    q = np.where(
+        np.abs(distance - t) <= r0,
+        (r0**2 - (distance - t) ** 2) / (4.0 * distance),
+        0.0,
+    )
+    return q if q.ndim else float(q)
 
 
 def sphere_mean_indicator(r0, center_dist, t, n_dirs=20000):

@@ -8,7 +8,8 @@ import numpy as np
 
 import attenpat
 from attenpat.cli import main
-from attenpat.gridio import read_csv, read_grid, write_grid
+from attenpat.gridio import read_csv, read_grid, save_wave, write_grid
+from attenpat.wavefield import SensorArray, TimeGrid, WaveData
 
 SMALL_SCENARIO = {
     "model": {"kind": "nsw", "tau": 0.11, "tau_tilde": 0.1},
@@ -161,6 +162,20 @@ class TestPipelineCommands:
         assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error: noise.seed: must be >= 0")
         assert not (out / "data_forward.atw").exists()
+
+    def test_bad_wave_sidecar_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "data.atw"
+        save_wave(data, WaveData(np.zeros((141, 128)), TimeGrid.from_duration(6.0, 141),
+                                 SensorArray.circle(1.7, 128), kind="attenuated"))
+        sidecar = tmp_path / "data.atw.json"
+        meta = json.loads(sidecar.read_text())
+        meta["geometry"]["count"] = 128.9
+        sidecar.write_text(json.dumps(meta))
+        cfg = _write_config(tmp_path, SMALL_SCENARIO)
+        out = tmp_path / "rec"
+        assert main(["reconstruct", "--config", cfg, "--data", str(data), "--out", str(out)]) == 1
+        assert "geometry.count: expected an integer, got 128.9" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
 
     def test_seed_override(self, tmp_path):
         payload = dict(SMALL_SCENARIO)

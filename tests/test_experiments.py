@@ -216,16 +216,17 @@ class TestScenarioConfig:
             "quad_nodes": 4096,
             "forward_quad_nodes": 8192,
             "regularization": 1e-3,
-            "target_dx": 0.01,
         }
         cfg = ScenarioConfig.from_dict(raw)
-        assert cfg.regularization == 1e-3 and cfg.target_dx == 0.01
+        assert cfg.regularization == 1e-3
         assert json.loads(json.dumps(cfg.to_dict())) == raw
         assert ScenarioConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError, match="frobnicate"):
             ScenarioConfig.from_dict({"frobnicate": 1})
+        with pytest.raises(ConfigError, match="target_dx: unknown config field"):
+            ScenarioConfig.from_dict({"target_dx": 0.01})
 
     def test_bad_model_named(self):
         with pytest.raises(ConfigError, match="model.kind"):
@@ -275,7 +276,7 @@ class TestScenarioConfig:
             ({"noise": {"level": float("inf")}}, "noise.level"),
             ({"duration": 0}, "duration"),
             ({"omega_max": -200.0}, "omega_max"),
-            ({"target_dx": 0.0}, "target_dx"),
+            ({"target_dx": 0.01}, "target_dx"),  # a deleted field is unknown
             ({"image_half_extent": -1.0}, "image_half_extent"),
             ({"geometry": {"kind": "line", "length": 0}}, "geometry.length"),
             ({"geometry": {"kind": "line", "standoff": -1.7}}, "geometry.standoff"),
@@ -304,6 +305,10 @@ class TestScenarioConfig:
             # the image grid must lie strictly inside the inversion geometry
             ({"image_half_extent": 2.5}, "image_half_extent"),
             ({"geometry": {"kind": "line", "standoff": 0.5}}, "image_half_extent"),
+            # a tabulated law's tables are checked when the config loads, not after propagation
+            ({"model": {"kind": "tabulated", "omega": [-50.0, 0.0, 50.0],
+                        "kstar_real": [0.0, 0.0, 0.0], "kstar_imag": [0.0, float("nan"), 0.0],
+                        "k_inf": 0.3}}, "model.kstar_imag"),
         ],
     )
     def test_bad_section_named(self, raw, field):

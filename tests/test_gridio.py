@@ -76,6 +76,39 @@ class TestWaveAndImageFiles:
         assert back.sensors.kind == "line"
         assert np.allclose(back.sensors.points, sensors.points)
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("time_count", "120", "time_count"),
+            ("time_count", 120.5, "time_count"),
+            ("dt", True, "dt"),
+            ("dt", float("nan"), "dt"),
+            ("geometry", {"kind": "circle", "radius": 1.7, "count": 128.9}, "geometry.count"),
+            ("geometry", {"kind": "circle", "radius": "1.7", "count": 128}, "geometry.radius"),
+            ("geometry", {"kind": "circle", "radius": 1.7}, "geometry.count"),
+        ],
+    )
+    def test_sidecar_values_are_strict(self, tmp_path, key, value, named):
+        # each bad value below used to load through float() or int()
+        wave = WaveData(np.zeros((120, 128)), TimeGrid.from_duration(6.0, 120),
+                        SensorArray.circle(1.7, 128), kind="attenuated")
+        path = tmp_path / "wave.atw"
+        save_wave(path, wave)
+        sidecar = tmp_path / "wave.atw.json"
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=rf"wave\.atw\.json: {named}:"):
+            load_wave(path)
+
+    def test_non_object_sidecar_rejected(self, tmp_path):
+        path = tmp_path / "wave.atw"
+        save_wave(path, WaveData(np.zeros((4, 3)), TimeGrid.from_duration(1.0, 4),
+                                 SensorArray.circle(1.7, 3), kind="pressure"))
+        (tmp_path / "wave.atw.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="sidecar does not describe wave data"):
+            load_wave(path)
+
     def test_image_round_trip(self, tmp_path):
         grid = ImageGrid.centered(16, 1.0)
         img = ReconImage(np.random.default_rng(2).standard_normal((16, 16)), grid,

@@ -162,6 +162,32 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             TabulatedWeakModel(omega=np.linspace(0, 10, 11), kstar=np.zeros(11), k_inf=0.1)
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: ConstantModel(k_inf=True), "k_inf"),
+            (lambda: ConstantModel(k_inf="0.45"), "k_inf"),
+            (lambda: NswModel(tau=True, tau_tilde=0.1), "tau"),
+            (lambda: NswModel(tau=0.11, tau_tilde=float("nan")), "tau_tilde"),
+            (lambda: PowerLawModel(amplitude=np.inf, exponent=2.0), "amplitude"),
+            (lambda: PowerLawModel(amplitude=0.1, exponent=False), "exponent"),
+            (lambda: TabulatedWeakModel(np.linspace(-1, 1, 3), np.zeros(3), k_inf=True), "k_inf"),
+        ],
+    )
+    def test_parameters_are_finite_numbers(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field}:"):
+            build()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
+    def test_tabulated_table_must_be_finite(self, bad):
+        kstar = np.zeros(3, dtype=complex)
+        kstar[1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            TabulatedWeakModel(omega=np.linspace(-1, 1, 3), kstar=kstar, k_inf=0.1)
+        with pytest.raises(ValueError, match="must be finite"):
+            TabulatedWeakModel(omega=np.array([-1.0, bad.real, 1.0]), kstar=np.zeros(3),
+                               k_inf=0.1)
+
 
 class TestModelTag:
     def test_tabulated_tag_is_stable_across_processes(self):
@@ -209,3 +235,21 @@ class TestSpecRoundTrip:
     def test_missing_field_named(self):
         with pytest.raises(ValueError, match="model.tau"):
             model_from_spec({"kind": "nsw"})
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("omega", "0.0"), ("omega", np.nan), ("kstar_real", True), ("kstar_real", np.inf),
+         ("kstar_imag", np.nan), ("kstar_imag", None)],
+    )
+    def test_tabulated_elements_named(self, field, bad):
+        spec = {"kind": "tabulated", "omega": [-50.0, 0.0, 50.0],
+                "kstar_real": [0.0, 0.1, 0.0], "kstar_imag": [0.0, 0.2, 0.0], "k_inf": 0.3}
+        spec[field][1] = bad
+        with pytest.raises(ValueError, match=f"^model.{field}: expected a finite number"):
+            model_from_spec(spec)
+
+    def test_tabulated_table_must_be_a_list(self):
+        spec = {"kind": "tabulated", "omega": [-50.0, 0.0, 50.0],
+                "kstar_real": 0.0, "kstar_imag": [0.0, 0.2, 0.0], "k_inf": 0.3}
+        with pytest.raises(ValueError, match="^model.kstar_real: .*not iterable"):
+            model_from_spec(spec)
