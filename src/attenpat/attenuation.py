@@ -156,11 +156,6 @@ class KernelSeries:
     num_nodes: int
     imag_residue: float
 
-    def at_lag_matrix(self, k: int, count: int) -> np.ndarray:
-        """Dense ``(count, count)`` matrix of ``r_k(t_i - t_m)`` values."""
-        idx = np.arange(count)[:, None] - np.arange(count)[None, :] + (count - 1)
-        return self.r[k - 1][idx]
-
 
 def kernel_series(
     model: Union[AttenuationModel, Callable],
@@ -251,43 +246,31 @@ def build_system(
     diag = np.exp(-kinf * times)
     n = time_grid.count
 
-    if isinstance(model, ConstantModel):
-        matrix = np.diag(diag)
-        series_omega, series_nodes = omega_max, num_nodes
-    else:
-        series = kernel_series(
-            model, time_grid, order=order, omega_max=omega_max, num_nodes=num_nodes
-        )
+    matrix = np.diag(diag)
+    if not isinstance(model, ConstantModel):
+        series = kernel_series(model, time_grid, order=order, omega_max=omega_max,
+                               num_nodes=num_nodes)
+        omega_max, num_nodes = series.omega_max, series.num_nodes
         if series.imag_residue > 1e-10:
             raise FloatingPointError(
                 f"kernel quadrature is not real: relative imaginary residue "
                 f"{series.imag_residue:.3e} (asymmetric k_star?)"
             )
-        tm_pow = np.ones_like(times)
-        col_base = (time_grid.dt / SQRT_2PI) * diag
-        matrix = np.zeros((n, n))
-        fact = 1.0
-        for k in range(1, order + 1):
-            tm_pow = tm_pow * times
-            fact *= k
-            coeff = col_base * tm_pow / fact
-            if not np.all(np.isfinite(coeff)):
-                raise FloatingPointError(
-                    f"Taylor term t**{k}/{k}! overflows for this time grid"
-                )
-            matrix += series.at_lag_matrix(k, n) * coeff[None, :]
-        matrix += np.diag(diag)
-        series_omega, series_nodes = series.omega_max, series.num_nodes
+        # coeff[m, k-1] = (dt / sqrt(2 pi)) e^{-k_inf t_m} t_m**k / k!
+        tm_pow = np.cumprod(np.repeat(times[:, None], order, axis=1), axis=1)
+        fact = np.cumprod(np.arange(1.0, order + 1))
+        coeff = ((time_grid.dt / SQRT_2PI) * diag)[:, None] * tm_pow / fact
+        overflow = ~np.isfinite(coeff).all(axis=0)
+        if overflow.any():
+            k = int(np.argmax(overflow)) + 1
+            raise FloatingPointError(f"Taylor term t**{k}/{k}! overflows for this time grid")
+        # row m of coeff @ r is column m of B on the lag grid: b_im = rows[m, i - m + n - 1]
+        rows = coeff @ series.r
+        lag = np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
+        matrix += rows[np.arange(n)[None, :], lag]
 
-    return AttenuationSystem(
-        matrix=matrix,
-        time_grid=time_grid,
-        model_tag=model_tag(model),
-        k_inf=kinf,
-        order=order,
-        omega_max=series_omega,
-        num_nodes=series_nodes,
-    )
+    return AttenuationSystem(matrix=matrix, time_grid=time_grid, model_tag=model_tag(model),
+                             k_inf=kinf, order=order, omega_max=omega_max, num_nodes=num_nodes)
 
 
 def _check_grid(system: AttenuationSystem, wave: WaveData) -> None:

@@ -87,6 +87,7 @@ def _cmd_validate_model(args) -> int:
 
 
 def _write_scenario_artifacts(result, outdir: Path) -> None:
+    """Write a scenario's data, images, sections and metrics; print its errors."""
     save_wave(outdir / "data_forward.atw", result.data_forward)
     save_wave(outdir / "data_inversion.atw", result.data)
     save_image(outdir / "truth.atw", result.truth)
@@ -108,6 +109,8 @@ def _write_scenario_artifacts(result, outdir: Path) -> None:
         "seed": result.config.seed,
     }
     (outdir / "metrics.json").write_text(json.dumps(metrics, indent=1, sort_keys=True))
+    for name, err in result.errors.items():
+        print(f"{name}: rel_l2_error = {err:.6g}")
 
 
 def _cmd_simulate(args) -> int:
@@ -131,8 +134,6 @@ def _cmd_reconstruct(args) -> int:
     result = reconstruct_scenario(config, pa)
     outdir = _outdir(args)
     _write_scenario_artifacts(result, outdir)
-    for name, err in result.errors.items():
-        print(f"{name}: rel_l2_error = {err:.6g}")
     return 0
 
 
@@ -144,8 +145,6 @@ def _cmd_run_scenario(args) -> int:
         json.dumps(config.to_dict(), indent=1, sort_keys=True)
     )
     _write_scenario_artifacts(result, outdir)
-    for name, err in result.errors.items():
-        print(f"{name}: rel_l2_error = {err:.6g}")
     return 0
 
 
@@ -220,16 +219,13 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ScenarioStageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if _is_numerical(exc) else 1
     except (ConditioningError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError and JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,7 +40,9 @@ from .recon import (
     time_integrate,
 )
 from .wavefield import (
+    SENSOR_KEYS,
     Ellipse,
+    GridCapError,
     Phantom,
     SensorArray,
     TimeGrid,
@@ -110,6 +112,13 @@ def _geometry(value) -> str:
     if value not in ("circle", "line"):
         raise ValueError(f"unknown value {value!r}")
     return value
+
+
+def _own_key(key: str, kind) -> bool:
+    """False for a ``geometry.<key>`` that a known sensor ``kind`` does not read."""
+    section, _, sub = key.partition(".")
+    own = SENSOR_KEYS.get(kind, (sub,)) if isinstance(kind, str) else (sub,)
+    return section != "geometry" or sub == "kind" or sub in own
 
 
 def _model(value) -> AttenuationModel:
@@ -280,11 +289,9 @@ class ScenarioConfig:
         return phantom_from_ellipses([Ellipse(**e) for e in spec["items"]], n, half)
 
     def methods(self) -> list:
-        out = ["naive"]
-        if not isinstance(self.model, ConstantModel):
-            out.append("compensated")
-        out.append("full")
-        return out
+        if isinstance(self.model, ConstantModel):
+            return ["naive", "full"]
+        return ["naive", "compensated", "full"]
 
     # --- config file round trip -----------------------------------------
     @classmethod
@@ -303,14 +310,19 @@ class ScenarioConfig:
                 raise ConfigError(f"{key}: unknown config field")
             else:
                 flat[key] = value
+        kind = flat.get("geometry.kind", cls.geometry)
         for key in flat:
             if key not in names:
                 raise ConfigError(f"{key}: unknown config field")
+            if not _own_key(key, kind):
+                raise ConfigError(f"{key}: unknown field for kind {kind!r}")
         return cls(**{names[key]: value for key, value in flat.items()})
 
     def to_dict(self) -> dict:
         out: dict = {}
         for f in fields(self):
+            if not _own_key(f.metadata["key"], self.geometry):
+                continue
             section, _, key = f.metadata["key"].rpartition(".")
             value = f.metadata["dump"](getattr(self, f.name))
             (out.setdefault(section, {}) if section else out)[key] = value
@@ -436,7 +448,14 @@ def _forward_pressure(config: ScenarioConfig, phantom: Phantom) -> WaveData:
     )
     cached = _FORWARD_CACHE.get(key)
     if cached is None:
-        cached = spectral_forward(phantom, tg, sensors)
+        try:
+            cached = spectral_forward(phantom, tg, sensors)
+        except GridCapError as exc:
+            raise GridCapError(
+                f"{exc}. A scenario's dx is the finer of the forward time step duration / "
+                f"forward_time_count ({tg.dt:.6g}) and the phantom raster spacing "
+                f"({phantom.spacing:.6g}), set by phantom.grid_size and half_extent, which "
+                "default to image_size and image_half_extent") from exc
         if len(_FORWARD_CACHE) >= _FORWARD_CACHE_LIMIT:
             _FORWARD_CACHE.pop(next(iter(_FORWARD_CACHE)))
         _FORWARD_CACHE[key] = cached
@@ -488,12 +507,7 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
 
     with _stage("resample", runtimes):
         inv_tg = config.inversion_time_grid()
-        inv_sensors = config.sensors(config.inversion_sensor_count)
-        same = (
-            inv_tg == pa.time_grid and inv_sensors.kind == pa.sensors.kind
-            and inv_sensors.params == pa.sensors.params
-        )
-        pa_inv = pa if same else resample_data(pa, inv_tg, inv_sensors)
+        pa_inv = resample_data(pa, inv_tg, config.sensors(config.inversion_sensor_count))
 
     traces = {"naive": pa_inv}
     if "compensated" in config.methods():
@@ -520,9 +534,8 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
 
     with _stage("metrics", runtimes):
         errors = {name: rel_l2_error(img, truth) for name, img in recons.items()}
-        sections = {"truth": cross_section(truth, y=0.0)}
-        for name, img in recons.items():
-            sections[name] = cross_section(img, y=0.0)
+        sections = {name: cross_section(img, y=0.0)
+                    for name, img in {"truth": truth, **recons}.items()}
 
     return ScenarioResult(
         config=config,

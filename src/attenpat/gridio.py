@@ -114,8 +114,7 @@ def save_wave(path, wave: WaveData) -> None:
         spacing=(wave.time_grid.dt, 0.0),
         origin=(wave.time_grid.dt, 0.0),
     )
-    geometry = {"kind": wave.sensors.kind}
-    geometry.update(wave.sensors.params)
+    geometry = {"kind": wave.sensors.kind, **wave.sensors.params}
     meta = {"type": "wave", "kind": wave.kind, "time_count": wave.time_grid.count,
             "dt": wave.time_grid.dt, "geometry": geometry}
     _sidecar(path).write_text(json.dumps(meta, indent=1, sort_keys=True))

@@ -199,12 +199,10 @@ def eval_kappa(model: AttenuationModel, omega) -> np.ndarray:
 
 def k_infinity(model: AttenuationModel) -> float:
     """Constant ``k_inf`` of the weak decomposition ``kappa = w + 1j*k_inf + k_star``."""
-    if isinstance(model, ConstantModel):
+    if isinstance(model, (ConstantModel, TabulatedWeakModel)):
         return model.k_inf
     if isinstance(model, NswModel):
         return (model.tau - model.tau_tilde) / (2.0 * model.tau * model.tau_tilde)
-    if isinstance(model, TabulatedWeakModel):
-        return model.k_inf
     raise UnsupportedModelError(
         f"{model_tag(model)} is not a weak law; it has no k_inf decomposition"
     )

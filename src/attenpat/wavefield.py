@@ -6,10 +6,10 @@ The forward solver is an exact-in-time Fourier spectral propagator for the
     q_hat(t, k) = h_hat(k) * sin(|k|t)/|k|      (t at |k| = 0)
     p_hat(t, k) = h_hat(k) * cos(|k|t)
 
-with unit sound speed.  The domain is padded so that no periodic
-wraparound reaches any sensor within the recording window, which makes
-the computed traces exact free-space traces up to rasterization and
-band limitation.
+with unit sound speed.  The domain is padded so that no wavefront wraps
+around to a sensor within the recording window, but the slowly decaying
+kernel tails do wrap: the benchmark circle's 810-point traces differ from a
+1215-point grid's at the same dx by 2.3e-3 of ``max|trace|``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ __all__ = [
 MARGIN = 0.5
 # largest propagator grid side, in points: the memory guard of one phantom
 MAX_GRID_SIZE = 2048
+
+
+class GridCapError(ValueError):
+    """The propagator grid for the requested dx would exceed ``MAX_GRID_SIZE``."""
 
 
 def _next_fast_len(n: int) -> int:
@@ -155,24 +159,30 @@ class SensorArray:
         raise ValueError(f"no scalar arc parameter for kind {self.kind!r}")
 
 
+# sensor kind -> the geometry keys it reads besides kind, in constructor order
+SENSOR_KEYS = {"circle": ("radius", "count"), "line": ("length", "standoff", "count"),
+               "sphere": ("radius", "count")}
+
+
 def make_sensors(spec: dict) -> SensorArray:
-    """Build a sensor array from a config mapping of strict JSON numbers."""
+    """Build a sensor array from a config mapping of its kind's keys, strict JSON numbers."""
     if not isinstance(spec, dict):
         raise ValueError("geometry: expected a mapping with a 'kind' field")
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in SENSOR_KEYS:
+        raise ValueError(f"geometry.kind: unknown value {kind!r}")
+    for key in spec:
+        if key != "kind" and key not in SENSOR_KEYS[kind]:
+            raise ValueError(f"geometry.{key}: unknown field for kind {kind!r}")
 
-    def number(key, convert=finite_real):
+    def number(key):
         if key not in spec:
             raise ValueError(f"geometry.{key}: missing for kind {kind!r}")
-        return keyed(f"geometry.{key}", convert, spec[key])
+        return keyed(f"geometry.{key}", finite_int if key == "count" else finite_real, spec[key])
 
-    if kind == "circle":
-        return SensorArray.circle(number("radius"), number("count", finite_int))
-    if kind == "line":
-        return SensorArray.line(number("length"), number("standoff"), number("count", finite_int))
-    if kind == "sphere":
-        return SensorArray.sphere_fibonacci(number("radius"), number("count", finite_int))
-    raise ValueError(f"geometry.kind: unknown value {kind!r}")
+    build = {"circle": SensorArray.circle, "line": SensorArray.line,
+             "sphere": SensorArray.sphere_fibonacci}[kind]
+    return build(*map(number, SENSOR_KEYS[kind]))
 
 
 @dataclass(frozen=True)
@@ -396,10 +406,10 @@ class SpectralPropagator:
         dx = target_dx if target_dx is not None else phantom.spacing
         size = _next_fast_len(int(np.ceil(side / dx)))
         if size > MAX_GRID_SIZE:
-            raise ValueError(
+            raise GridCapError(
                 f"propagator grid {size}x{size} exceeds the {MAX_GRID_SIZE}x{MAX_GRID_SIZE} "
-                f"cap: target_dx {dx!r} is too fine for a side of {side:.6g}; the "
-                f"smallest target_dx that fits is about {side / MAX_GRID_SIZE:.6g}"
+                f"cap: dx {dx:.6g} is too fine for a side of {side:.6g}; the "
+                f"smallest dx that fits is about {side / MAX_GRID_SIZE:.6g}"
             )
         self.size = size
         self.dx = side / size

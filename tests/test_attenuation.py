@@ -12,7 +12,14 @@ from attenpat.attenuation import (
     kernel_series,
     lag_grid,
 )
-from attenpat.models import ConstantModel, NswModel, PowerLawModel, eval_kstar, k_infinity
+from attenpat.models import (
+    ConstantModel,
+    NswModel,
+    PowerLawModel,
+    TabulatedWeakModel,
+    eval_kstar,
+    k_infinity,
+)
 from attenpat.wavefield import SensorArray, TimeGrid, WaveData
 from oracles import attenuated_series_loop, direct_kernel_transforms
 
@@ -131,17 +138,40 @@ class TestBuildSystem:
         assert system.matrix.dtype == np.float64
         assert np.all(np.isfinite(system.matrix))
 
-    @pytest.mark.parametrize("count,order", [(443, 3), (60, 10)])
-    def test_against_plain_loop_summation(self, count, order):
-        # independent loop evaluation of the truncated-series quadrature,
-        # once at full grid size and once at full series order
+    @pytest.mark.parametrize("count,order,nodes", [
+        pytest.param(443, 3, 2**14, id="443-3"),
+        pytest.param(60, 10, 2**14, id="60-10"),
+        pytest.param(500, 14, 2**15, id="500-14"),  # the forward system of a scenario
+    ])
+    def test_against_plain_loop_summation(self, count, order, nodes):
+        # independent loop evaluation of the truncated-series quadrature, at full
+        # grid size, at full series order, and at the forward shape; a random q
+        # sees every entry of M, where q = 1 would see only its row sums
         tg = TimeGrid.from_duration(6.0, count)
-        system = build_system(NSW, tg, order=order)
-        series = kernel_series(NSW, tg, order=order)
-        q = np.ones(count)
+        system = build_system(NSW, tg, order=order, num_nodes=nodes)
+        series = kernel_series(NSW, tg, order=order, num_nodes=nodes)
+        q = np.random.default_rng(count).standard_normal(count)
         direct = attenuated_series_loop(series.r, tg.times, tg.dt, k_infinity(NSW), q)
         via_matrix = system.matrix @ q
         assert np.max(np.abs(via_matrix - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_asymmetric_kstar_refused(self):
+        # k_star(-w) != -conj(k_star(w)): r_1 comes out complex and M would not be real
+        w = np.linspace(-100.0, 100.0, 201)
+        law = TabulatedWeakModel(omega=w, kstar=np.full(w.size, 0.3 + 0.1j), k_inf=0.2)
+        with pytest.raises(FloatingPointError, match="kernel quadrature is not real"):
+            build_system(law, TimeGrid.from_duration(6.0, 100))
+
+    def test_taylor_overflow_names_first_order(self):
+        # t**k at t_max = 1000 first exceeds the largest double at k = 103
+        tg = TimeGrid.from_duration(1000.0, 100)
+        big = np.log10(np.finfo(float).max)
+        first = next(k for k in range(1, 200) if k * np.log10(tg.times[-1]) > big)
+        assert np.all(np.isfinite(build_system(NSW, tg, order=first - 1).matrix))
+        with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError, match=rf"^Taylor term t\*\*{first}/{first}! overflows"
+        ):
+            build_system(NSW, tg, order=first + 10)
 
     def test_taylor_truncation_converged(self):
         m10 = build_system(NSW, GRID_443, order=10).matrix

@@ -177,6 +177,35 @@ class TestPipelineCommands:
         assert "geometry.count: expected an integer, got 128.9" in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
+    def test_unknown_wave_sidecar_geometry_key_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "data.atw"
+        save_wave(data, WaveData(np.zeros((141, 128)), TimeGrid.from_duration(6.0, 141),
+                                 SensorArray.circle(1.7, 128), kind="attenuated"))
+        sidecar = tmp_path / "data.atw.json"
+        meta = json.loads(sidecar.read_text())
+        meta["geometry"]["standoff"] = 1.7
+        sidecar.write_text(json.dumps(meta))
+        cfg = _write_config(tmp_path, SMALL_SCENARIO)
+        out = tmp_path / "rec"
+        assert main(["reconstruct", "--config", cfg, "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "data.atw.json: geometry.standoff: unknown field for kind 'circle'" in err
+        assert not (out / "metrics.json").exists()
+
+    def test_grid_over_cap_names_the_config_keys(self, tmp_path, capsys):
+        # a 600-pixel image on the default circle asks for dx = 2/600, finer than
+        # the 2048-point propagator grid allows: refused before any step, not coarsened
+        cfg = _write_config(tmp_path, {"image_size": 600})
+        out = tmp_path / "cap"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'forward-propagation' failed" in err and "exceeds the 2048x2048 cap" in err
+        assert "dx 0.00333333 is too fine" in err
+        assert "forward_time_count (0.012)" in err
+        assert "image_size" in err and "phantom.grid_size" in err
+        assert "np.float64" not in err and "target_dx" not in err
+        assert not (out / "data_forward.atw").exists()
+
     def test_seed_override(self, tmp_path):
         payload = dict(SMALL_SCENARIO)
         payload["noise"] = {"level": 0.2, "seed": 1}

@@ -77,6 +77,17 @@ class TestResample:
         out = resample_data(w, tg, sensors)
         assert np.allclose(out.values, w.values, atol=1e-12)
 
+    @pytest.mark.parametrize("make", [lambda n: SensorArray.circle(1.7, n),
+                                      lambda n: SensorArray.line(10.2, 1.7, n)],
+                             ids=["circle", "line"])
+    def test_own_grids_bitwise_identity(self, make):
+        # reconstruct_scenario resamples even when the inversion grids equal the
+        # forward ones, so resampling onto the source's own grids must be exact
+        tg = TimeGrid.from_duration(6.0, 443)
+        w = _wave(np.random.default_rng(5).standard_normal((443, 849)), tg, make(849))
+        out = resample_data(w, TimeGrid.from_duration(6.0, 443), make(849))
+        assert np.array_equal(out.values, w.values)
+
     def test_constant_data_preserved(self):
         w = _wave(np.full((100, 64), 2.5), TimeGrid.from_duration(6.0, 100),
                   SensorArray.circle(1.7, 64))
@@ -197,8 +208,7 @@ class TestScenarioConfig:
             "model": {"kind": "tabulated", "omega": [-50.0, 0.0, 50.0],
                       "kstar_real": [0.2, 0.0, 0.2], "kstar_imag": [-0.1, 0.0, 0.1],
                       "k_inf": 0.3},
-            "geometry": {"kind": "line", "radius": 1.5, "length": 9.0, "standoff": 1.6,
-                         "count": 300},
+            "geometry": {"kind": "line", "length": 9.0, "standoff": 1.6, "count": 300},
             "duration": 7.0,
             "forward_time_count": 400,
             "forward_sensor_count": 320,
@@ -221,6 +231,10 @@ class TestScenarioConfig:
         assert cfg.regularization == 1e-3
         assert json.loads(json.dumps(cfg.to_dict())) == raw
         assert ScenarioConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+        # the circle's own key, which a line rejects
+        circle = {"kind": "circle", "radius": 1.5, "count": 300}
+        cfg = ScenarioConfig.from_dict({"geometry": circle})
+        assert cfg.to_dict()["geometry"] == circle
 
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError, match="frobnicate"):
@@ -309,6 +323,12 @@ class TestScenarioConfig:
             ({"model": {"kind": "tabulated", "omega": [-50.0, 0.0, 50.0],
                         "kstar_real": [0.0, 0.0, 0.0], "kstar_imag": [0.0, float("nan"), 0.0],
                         "k_inf": 0.3}}, "model.kstar_imag"),
+            # a geometry key that its kind does not read
+            ({"geometry": {"kind": "line", "radius": 3.0, "count": 64}}, "geometry.radius"),
+            ({"geometry": {"kind": "circle", "length": 10.2}}, "geometry.length"),
+            ({"geometry": {"kind": "circle", "radius": 1.7, "standoff": 1.7}},
+             "geometry.standoff"),
+            ({"geometry": {"standoff": 1.7}}, "geometry.standoff"),  # the default kind is circle
         ],
     )
     def test_bad_section_named(self, raw, field):
@@ -351,8 +371,10 @@ class TestScenarioConfig:
         ids=lambda p: p.name,
     )
     def test_shipped_configs_load_and_round_trip(self, path):
-        cfg = ScenarioConfig.from_dict(json.loads(path.read_text()))
+        raw = json.loads(path.read_text())
+        cfg = ScenarioConfig.from_dict(raw)
         assert ScenarioConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+        assert cfg.to_dict()["geometry"] == raw["geometry"]  # only the kind's own keys
 
     def test_unknown_geometry(self):
         with pytest.raises(ConfigError, match="geometry"):

@@ -86,6 +86,13 @@ class TestWaveAndImageFiles:
             ("geometry", {"kind": "circle", "radius": 1.7, "count": 128.9}, "geometry.count"),
             ("geometry", {"kind": "circle", "radius": "1.7", "count": 128}, "geometry.radius"),
             ("geometry", {"kind": "circle", "radius": 1.7}, "geometry.count"),
+            # a key the kind does not read
+            ("geometry", {"kind": "circle", "radius": 1.7, "count": 128, "radus": 3},
+             "geometry.radus"),
+            ("geometry", {"kind": "circle", "radius": 1.7, "count": 128, "standoff": 1.7},
+             "geometry.standoff"),
+            ("geometry", {"kind": "line", "length": 10.2, "standoff": 1.7, "count": 128,
+                          "radius": 1.7}, "geometry.radius"),
         ],
     )
     def test_sidecar_values_are_strict(self, tmp_path, key, value, named):

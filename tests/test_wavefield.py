@@ -3,6 +3,7 @@ import pytest
 
 from attenpat.wavefield import (
     Ellipse,
+    GridCapError,
     Phantom,
     SensorArray,
     SpectralPropagator,
@@ -72,6 +73,16 @@ class TestSensors:
         assert arr.kind == "line"
         with pytest.raises(ValueError, match="geometry.kind"):
             make_sensors({"kind": "helix"})
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "circle", "radius": 1.7, "count": 8, "radus": 3}, "radus"),
+        ({"kind": "circle", "radius": 1.7, "count": 8, "length": 10.2}, "length"),
+        ({"kind": "line", "length": 10.2, "standoff": 1.7, "count": 8, "radius": 3.0}, "radius"),
+        ({"kind": "sphere", "radius": 1.7, "count": 8, "standoff": 1.7}, "standoff"),
+    ])
+    def test_make_sensors_rejects_keys_the_kind_does_not_read(self, spec, key):
+        with pytest.raises(ValueError, match=rf"^geometry\.{key}: unknown field for kind "):
+            make_sensors(spec)
 
 
 class TestSheppLogan:
@@ -237,8 +248,8 @@ class TestSpectralPropagator:
     def test_grid_over_cap_names_target_dx(self):
         # side about 5 at dx 1e-3 needs a 5000-point grid: refused, not coarsened
         sensors = SensorArray.circle(1.2, 8)
-        with pytest.raises(ValueError, match=r"exceeds the 2048x2048 cap: target_dx 0\.001 .*"
-                                             r"smallest target_dx that fits"):
+        with pytest.raises(GridCapError, match=r"exceeds the 2048x2048 cap: dx 0\.001 is too "
+                                               r"fine .* smallest dx that fits is about 0\.00\d+$"):
             SpectralPropagator(_gaussian_phantom(), sensors, duration=2.0, target_dx=1e-3)
 
     def test_sensor_outside_domain_rejected(self):
