@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .models import (
     AttenuationModel,
@@ -264,10 +265,11 @@ def build_system(
         if overflow.any():
             k = int(np.argmax(overflow)) + 1
             raise FloatingPointError(f"Taylor term t**{k}/{k}! overflows for this time grid")
-        # row m of coeff @ r is column m of B on the lag grid: b_im = rows[m, i - m + n - 1]
+        # row m of coeff @ r is column m of B on the lag grid, b_im = rows[m, i - m + n - 1],
+        # so the view from rows[0, n - 1] with row stride 2n - 2 elements is B^T
         rows = coeff @ series.r
-        lag = np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
-        matrix += rows[np.arange(n)[None, :], lag]
+        s = rows.itemsize
+        matrix += as_strided(rows[0, n - 1:], (n, n), ((2 * n - 2) * s, s), writeable=False).T
 
     return AttenuationSystem(matrix=matrix, time_grid=time_grid, model_tag=model_tag(model),
                              k_inf=kinf, order=order, omega_max=omega_max, num_nodes=num_nodes)

@@ -13,7 +13,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -114,11 +113,15 @@ def _geometry(value) -> str:
     return value
 
 
-def _own_key(key: str, kind) -> bool:
-    """False for a ``geometry.<key>`` that a known sensor ``kind`` does not read."""
+def _own_key(key: str, kind: str) -> bool:
+    """False for a ``geometry.<key>`` that the sensor ``kind`` does not read."""
     section, _, sub = key.partition(".")
-    own = SENSOR_KEYS.get(kind, (sub,)) if isinstance(kind, str) else (sub,)
-    return section != "geometry" or sub == "kind" or sub in own
+    return section != "geometry" or sub == "kind" or sub in SENSOR_KEYS[kind]
+
+
+# sensor kind -> the value of each field that defaults to None when the kind reads it
+_KIND_DEFAULTS = {"circle": {"radius": 1.7, "duration": 6.0},
+                  "line": {"line_length": 10.2, "standoff": 1.7, "duration": 8.0}}
 
 
 def _model(value) -> AttenuationModel:
@@ -179,7 +182,7 @@ def _phantom(spec) -> dict:
     return {**defaults, **typed, "kind": kind}
 
 
-def _regularization(value) -> Optional[float]:
+def _regularization(value) -> float | None:
     """``"none"`` (or null) for no regularization, else the Tikhonov ``lam``,
     written ``{"kind": "tikhonov", "lam": ...}`` or bare."""
     if value is None or value == "none":
@@ -210,11 +213,11 @@ class ScenarioConfig:
         _model, "model", model_to_spec, default_factory=lambda: ConstantModel(k_inf=0.45)
     )
     geometry: str = _field(_geometry, "geometry.kind", default="circle")
-    radius: float = _field(positive_real, "geometry.radius", default=1.7)
-    line_length: float = _field(positive_real, "geometry.length", default=10.2)
-    standoff: float = _field(positive_real, "geometry.standoff", default=1.7)
-    # None means 6 for a circle, 8 for a line
-    duration: Optional[float] = _field(_optional(positive_real), "duration", default=None)
+    # None means the kind's default (_KIND_DEFAULTS); a key the kind does not read stays None
+    radius: float | None = _field(_optional(positive_real), "geometry.radius", default=None)
+    line_length: float | None = _field(_optional(positive_real), "geometry.length", default=None)
+    standoff: float | None = _field(_optional(positive_real), "geometry.standoff", default=None)
+    duration: float | None = _field(_optional(positive_real), "duration", default=None)
     forward_time_count: int = _field(finite_int, "forward_time_count", default=500)
     forward_sensor_count: int = _field(finite_int, "forward_sensor_count", default=896)
     inversion_time_count: int = _field(finite_int, "inversion_time_count", default=443)
@@ -231,16 +234,20 @@ class ScenarioConfig:
     omega_max: float = _field(positive_real, "omega_max", default=200.0)
     quad_nodes: int = _field(finite_int, "quad_nodes", default=2**14)
     forward_quad_nodes: int = _field(finite_int, "forward_quad_nodes", default=2**15)
-    regularization: Optional[float] = _field(
+    regularization: float | None = _field(
         _regularization, "regularization", lambda lam: lam or "none", default=None
     )
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = _convert(f.metadata["key"], f.metadata["convert"], getattr(self, f.name))
+        for f in fields(self):  # geometry precedes the fields whose defaults depend on it
+            key = f.metadata["key"]
+            value = _convert(key, f.metadata["convert"], getattr(self, f.name))
+            own = _own_key(key, self.geometry)
+            if value is not None and not own:
+                raise ConfigError(f"{key}: unknown field for kind {self.geometry!r}")
+            if value is None and own:
+                value = _KIND_DEFAULTS[self.geometry].get(f.name)
             setattr(self, f.name, value)
-        if self.duration is None:
-            self.duration = 6.0 if self.geometry == "circle" else 8.0
         # the phantom builders' limits, on the values they will be given
         spec = self.phantom
         n, half = self._phantom_raster()
@@ -310,12 +317,11 @@ class ScenarioConfig:
                 raise ConfigError(f"{key}: unknown config field")
             else:
                 flat[key] = value
-        kind = flat.get("geometry.kind", cls.geometry)
-        for key in flat:
+        for key, value in flat.items():
             if key not in names:
                 raise ConfigError(f"{key}: unknown config field")
-            if not _own_key(key, kind):
-                raise ConfigError(f"{key}: unknown field for kind {kind!r}")
+            if value is None and key.startswith("geometry."):  # a file has no null geometry
+                raise ConfigError(f"{key}: expected a value, got null")
         return cls(**{names[key]: value for key, value in flat.items()})
 
     def to_dict(self) -> dict:
@@ -439,8 +445,8 @@ _FORWARD_CACHE_LIMIT = 8
 def _forward_pressure(config: ScenarioConfig, phantom: Phantom) -> WaveData:
     sensors = config.sensors(config.forward_sensor_count)
     tg = config.forward_time_grid()
-    # every input spectral_forward reads: the raster geometry sets the padded
-    # side and the default dx, the ellipses (or values) the initial field
+    # every input spectral_forward reads: the raster geometry sets the default dx and the
+    # support box (of the ellipses, if any) the grid sides, the ellipses or values the field
     key = (
         phantom.values.shape, phantom.spacing, phantom.origin,
         phantom.ellipses if phantom.ellipses is not None else phantom.values.tobytes(),

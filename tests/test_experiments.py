@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -379,6 +380,33 @@ class TestScenarioConfig:
     def test_unknown_geometry(self):
         with pytest.raises(ConfigError, match="geometry"):
             ScenarioConfig(geometry="helix")
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: ScenarioConfig(geometry="line", radius=3.0), "geometry.radius"),
+            (lambda: ScenarioConfig(line_length=10.2), "geometry.length"),
+            (lambda: ScenarioConfig(geometry="circle", standoff=1.7), "geometry.standoff"),
+            (lambda: dataclasses.replace(ScenarioConfig(geometry="line"), radius=9.0),
+             "geometry.radius"),
+            # the circle's filled-in radius does not carry over to a line
+            (lambda: dataclasses.replace(ScenarioConfig(), geometry="line"), "geometry.radius"),
+        ],
+        ids=["line-radius", "circle-length", "circle-standoff", "replace-line-radius",
+             "replace-circle-to-line"],
+    )
+    def test_constructor_rejects_keys_the_kind_does_not_read(self, build, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: unknown field for kind"):
+            build()
+
+    def test_kind_defaults_filled_and_kept_through_replace(self):
+        circle, line = ScenarioConfig(), ScenarioConfig(geometry="line")
+        assert (circle.radius, circle.line_length, circle.standoff) == (1.7, None, None)
+        assert (line.radius, line.line_length, line.standoff) == (None, 10.2, 1.7)
+        noisy = dataclasses.replace(line, noise_level=0.2, seed=4)
+        assert noisy.to_dict() == {**line.to_dict(), "noise": {"level": 0.2, "seed": 4}}
+        assert noisy.to_dict()["geometry"] == {"kind": "line", "length": 10.2,
+                                               "standoff": 1.7, "count": 849}
 
 
 class TestRunScenario:

@@ -6,6 +6,7 @@ from attenpat.wavefield import (
     GridCapError,
     Phantom,
     SensorArray,
+    SEGMENTS,
     SpectralPropagator,
     TimeGrid,
     WaveData,
@@ -15,7 +16,7 @@ from attenpat.wavefield import (
     phantom_from_ellipses,
     spectral_forward,
 )
-from attenpat.wavefield import _next_fast_len
+from attenpat.wavefield import _band_taper, _next_fast_len
 from oracles import ball_nwave_integrated, ball_nwave_oracle, sphere_mean_indicator
 
 
@@ -237,13 +238,21 @@ class TestSpectralPropagator:
         ids=["circle", "line"],
     )
     def test_row_pruned_traces_equal_full_field_loop(self, sensors):
+        # segment j of the 30 samples runs on a grid built for j/SEGMENTS of the duration
         ph = _gaussian_phantom(sigma=0.1, n=64)
         tg = TimeGrid.from_duration(2.0, 30)
         wave = spectral_forward(ph, tg, sensors, target_dx=0.03)
-        prop = SpectralPropagator(ph, sensors, tg.duration, target_dx=0.03)
-        assert prop.rows.size < prop.size
-        expect = np.array([prop.sample(prop.pressure_field(t)) for t in tg.times])
-        assert np.array_equal(wave.values, expect)
+        bounds = [tg.count * j // SEGMENTS for j in range(SEGMENTS + 1)]
+        assert bounds == [0, 7, 15, 22, 30]
+        sizes = []
+        for j in range(1, SEGMENTS + 1):
+            prop = SpectralPropagator(ph, sensors, tg.duration * j / SEGMENTS, target_dx=0.03)
+            assert prop.rows.size < prop.size and prop.dx == 0.03
+            sizes.append(prop.size)
+            part = slice(bounds[j - 1], bounds[j])
+            expect = np.array([prop.sample(prop.pressure_field(t)) for t in tg.times[part]])
+            assert np.array_equal(wave.values[part], expect)
+        assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
 
     def test_grid_over_cap_names_target_dx(self):
         # side about 5 at dx 1e-3 needs a 5000-point grid: refused, not coarsened
@@ -251,6 +260,16 @@ class TestSpectralPropagator:
         with pytest.raises(GridCapError, match=r"exceeds the 2048x2048 cap: dx 0\.001 is too "
                                                r"fine .* smallest dx that fits is about 0\.00\d+$"):
             SpectralPropagator(_gaussian_phantom(), sensors, duration=2.0, target_dx=1e-3)
+
+    def test_grid_over_cap_fails_before_any_step(self, monkeypatch):
+        # at dx 2e-3 the first segment's grid (1875 points) fits, the whole duration's does not
+        steps = []
+        monkeypatch.setattr(SpectralPropagator, "pressure_field",
+                            lambda self, t, rows=None: steps.append(t))
+        with pytest.raises(GridCapError):
+            spectral_forward(_gaussian_phantom(), TimeGrid.from_duration(2.0, 4),
+                             SensorArray.circle(1.2, 8), target_dx=2e-3)
+        assert steps == []
 
     def test_sensor_outside_domain_rejected(self):
         ph = _gaussian_phantom()
@@ -276,14 +295,52 @@ class TestSpectralPropagator:
         prop = SpectralPropagator(phantom, SensorArray.circle(1.2, 8), duration=2.0,
                                   target_dx=0.02)
         X, Y = np.meshgrid(prop.axis, prop.axis, indexing="ij")
-        assert np.array_equal(prop.h_hat, np.fft.rfft2(phantom.evaluate(X, Y)))
+        taper = _band_taper(prop.abs_k * (prop.dx / np.pi))
+        assert np.array_equal(prop.h_hat, np.fft.rfft2(phantom.evaluate(X, Y)) * taper)
+
+    def test_band_taper_values(self):
+        s = np.array([0.0, 0.5, 0.75, 0.8, 0.875, 0.95, 1.0, 1.2, np.sqrt(2.0)])
+        expect = [1.0, 1.0, 1.0, (1 + np.cos(np.pi / 5)) / 2, 0.5,
+                  (1 + np.cos(np.pi * 0.8)) / 2, 0.0, 0.0, 0.0]
+        assert np.allclose(_band_taper(s), expect, rtol=0, atol=1e-15)
+
+    def test_gaussian_against_hankel_oracle(self):
+        # independent oracle: a Gaussian of width sigma has the radial pressure
+        # p(r, t) = sigma^2 int exp(-sigma^2 rho^2 / 2) J0(rho r) cos(rho t) rho drho
+        from scipy.special import j0
+
+        sigma, r = 0.12, 1.7
+        ph = _gaussian_phantom(sigma=sigma, n=256)
+        tg = TimeGrid.from_duration(4.0, 200)
+        wave = spectral_forward(ph, tg, SensorArray.circle(r, 64))
+        x, w = np.polynomial.legendre.leggauss(2000)
+        rho, w = 40.0 * (x + 1.0), 40.0 * w  # the integrand is below 1e-18 past rho = 80
+        weight = w * sigma**2 * np.exp(-0.5 * (sigma * rho) ** 2) * j0(rho * r) * rho
+        oracle = np.cos(np.outer(tg.times, rho)) @ weight
+        err = np.abs(wave.values - oracle[:, None]).max()
+        assert err <= 2.5e-3 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize(
+        "sensors, duration",
+        [(SensorArray.circle(1.2, 32), 2.0), (SensorArray.line(3.0, 1.2, 32), 3.0)],
+        ids=["circle", "line"],
+    )
+    def test_segments_match_a_larger_grid(self, sensors, duration):
+        # the wavefront-sized segment grids against one grid built for 1.5x the duration at
+        # the same dx; without the band taper the kernel tails wrap around (3e-3 to 8e-3)
+        ph = make_shepp_logan(96)
+        tg = TimeGrid.from_duration(duration, 100)
+        wave = spectral_forward(ph, tg, sensors)
+        prop = SpectralPropagator(ph, sensors, 1.5 * duration, min(tg.dt, ph.spacing))
+        ref = np.array([prop.sample(prop.pressure_field(t, prop.rows)) for t in tg.times])
+        assert np.abs(wave.values - ref).max() <= 5e-5 * np.abs(ref).max()
 
 
 def test_next_fast_len_matches_scipy():
     from scipy.fft import next_fast_len
 
     lengths = range(1, 4097)
-    assert [_next_fast_len(n) for n in lengths] == [next_fast_len(n) for n in lengths]
+    assert [_next_fast_len(n) for n in lengths] == [next_fast_len(n, real=True) for n in lengths]
 
 
 class TestWaveData:
