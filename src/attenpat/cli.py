@@ -87,8 +87,7 @@ def _cmd_validate_model(args) -> int:
 
 
 def _write_scenario_artifacts(result, outdir: Path) -> None:
-    """Write a scenario's data, images, sections and metrics; print its errors."""
-    save_wave(outdir / "data_forward.atw", result.data_forward)
+    """Write a scenario's inversion data, images, sections and metrics; print its errors."""
     save_wave(outdir / "data_inversion.atw", result.data)
     save_image(outdir / "truth.atw", result.truth)
     write_image_pgm(outdir / "truth.pgm", result.truth)
@@ -144,6 +143,7 @@ def _cmd_run_scenario(args) -> int:
     (outdir / "scenario_config.json").write_text(
         json.dumps(config.to_dict(), indent=1, sort_keys=True)
     )
+    save_wave(outdir / "data_forward.atw", result.data_forward)
     _write_scenario_artifacts(result, outdir)
     return 0
 

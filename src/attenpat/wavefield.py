@@ -8,10 +8,14 @@ kernel tails do not wrap around the grid (the Gibbs fix of Treeby & Cox,
 JBO 2010), and a grid then only has to cover the wavefront: the traces run
 in four time segments, each on a grid of the same dx and a 5-smooth size
 that covers its last sample.  The benchmark circle's traces (grids 400 to
-768) are within 3.5e-6 of ``max|trace|`` of one grid 1.5 times larger."""
+768) are within 3.5e-6 of ``max|trace|`` of one grid 1.5 times larger.
+The segments share no state, so up to ``min(SEGMENTS, CPUs)`` step at once
+in worker threads, each writing its own rows: the traces stay bitwise equal."""
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,7 +40,7 @@ __all__ = [
 
 # padding added to the propagator's domain side beyond the wave's reach
 MARGIN = 0.5
-# largest propagator grid side, in points: the memory guard of one phantom
+# largest grid side, in points: 101-168 MB per propagator, min(SEGMENTS, CPUs) alive
 MAX_GRID_SIZE = 2048
 # equal time segments of spectral_forward, each on a grid sized to its wavefront
 SEGMENTS = 4
@@ -53,6 +57,13 @@ def _next_fast_len(n: int) -> int:
     while pow(30, 64, m):
         m += 1
     return m
+
+
+def _cpu_count() -> int:
+    """CPUs the process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _band_taper(s: np.ndarray) -> np.ndarray:
@@ -388,6 +399,9 @@ class SpectralPropagator:
     ``duration`` (unit sound speed).  The step is ``target_dx`` exactly, so
     grids of any duration sample the phantom at the same points.  A grid
     finer than ``MAX_GRID_SIZE`` points per side is refused, not coarsened.
+    Every buffer a step uses is allocated here: per mode of the half
+    spectrum 48 bytes, plus 32 times ``rows.size / size`` for the sensor
+    rows; 18.7 MB at 768 points on the benchmark circle.
     """
 
     def __init__(
@@ -419,14 +433,12 @@ class SpectralPropagator:
                   for lo, hi in box)
         h = np.zeros((size, size))
         h[bx, by] = phantom.evaluate(*np.meshgrid(self.axis[bx], self.axis[by], indexing="ij"))
-        kx = 2.0 * np.pi * np.fft.fftfreq(size, self.dx)
-        ky = 2.0 * np.pi * np.fft.rfftfreq(size, self.dx)
-        self.abs_k = np.hypot(kx[:, None], ky[None, :])
-        self.h_hat = rfft2(h) * _band_taper(self.abs_k * (self.dx / np.pi))
+        abs_k = self.abs_k
+        self.h_hat = rfft2(h) * _band_taper(abs_k * (self.dx / np.pi))
+        del h  # before np.unique's sort, the constructor's peak
         # |k| takes about a fifth as many distinct values as there are modes
-        uniq, inverse = np.unique(self.abs_k.T, return_inverse=True)
-        self._k_unique = uniq
-        self._k_inverse = inverse.reshape(self.abs_k.T.shape)
+        self._k_unique, inverse = np.unique(abs_k.T, return_inverse=True)
+        self._k_inverse = inverse.reshape(abs_k.T.shape)
         # irfft2's 1/n**2, applied as pocketfft applies it
         self._norm = float(1 / np.longdouble(size * size))
 
@@ -440,6 +452,20 @@ class SpectralPropagator:
         self.rows = np.unique(np.concatenate([self._i0, self._i0 + 1]))
         self._r0 = np.searchsorted(self.rows, self._i0)
 
+        # step buffers: a step on self.rows allocates nothing grid-sized
+        self._cos_k = np.empty_like(self._k_unique)
+        self._cos = np.empty(self._k_inverse.shape)
+        self._spec = np.empty_like(self._h_hat_t)
+        self._z_rows = np.empty((self._spec.shape[0], self.rows.size), complex)
+        self._field = np.empty((size, self.rows.size))
+
+    @property
+    def abs_k(self) -> np.ndarray:
+        """``|k|`` per mode of ``h_hat``, shape ``(size, size // 2 + 1)``."""
+        kx = 2.0 * np.pi * np.fft.fftfreq(self.size, self.dx)
+        ky = 2.0 * np.pi * np.fft.rfftfreq(self.size, self.dx)
+        return np.hypot(kx[:, None], ky[None, :])
+
     @property
     def h_hat(self) -> np.ndarray:
         """Band-tapered spectrum of ``h``, shape ``(size, size // 2 + 1)``."""
@@ -449,21 +475,25 @@ class SpectralPropagator:
     def h_hat(self, value: np.ndarray) -> None:
         # kept transposed so the inverse transform along kx is contiguous
         self._h_hat_t = np.ascontiguousarray(np.asarray(value).T)
-        # reused by every step: a fresh spectrum beside ifft's output refaulted pages
-        self._spec = np.empty_like(self._h_hat_t)
 
     def pressure_field(self, t: float, rows: np.ndarray | None = None) -> np.ndarray:
-        """Pressure on the grid at time ``t``, or on the grid rows ``rows`` only.
+        """Pressure on the grid at time ``t``, or on the sensor rows ``self.rows`` only.
 
         Bitwise equal to ``irfft2(h_hat * cos(abs_k * t))``: the same
         ``numpy.fft`` transforms in the same order, with the final real
-        transform run only on the requested rows.
+        transform run only on the requested rows.  Those come as a view of a
+        step buffer, which the next step overwrites.
         """
-        cos = np.cos(self._k_unique * t)[self._k_inverse]
+        np.cos(np.multiply(self._k_unique, t, out=self._cos_k), out=self._cos_k)
+        # mode "clip" as the indices are in range; "raise" would buffer out
+        cos = np.take(self._cos_k, self._k_inverse, out=self._cos, mode="clip")
         spec = np.multiply(self._h_hat_t, cos, out=self._spec)
-        z = ifft(spec, axis=1, norm="forward").T
-        z = np.ascontiguousarray(z if rows is None else z[rows])
-        return irfft(z, self.size, axis=1, norm="forward") * self._norm
+        z = ifft(spec, axis=1, norm="forward", out=spec)  # (ky, x), in place without a copy
+        if rows is not None:  # the buffers fit self.rows only
+            z = np.take(z, rows, axis=1, out=self._z_rows, mode="clip")
+        field = irfft(z, self.size, axis=0, norm="forward",
+                      out=None if rows is None else self._field)
+        return np.multiply(field, self._norm, out=field).T  # (x, y) or (rows, y)
 
     def sample(self, field: np.ndarray) -> np.ndarray:
         """Bilinear sensor values from the full field or from its ``self.rows``."""
@@ -489,20 +519,40 @@ def spectral_forward(
     the matched spatial resolution); the phantom raster spacing is used
     when it is finer.  Segment ``j`` of ``SEGMENTS`` equal time segments
     steps a grid sized for its last sample, built for ``j/SEGMENTS`` of the
-    duration.  The largest grid goes first, so a grid over the cap fails
-    before any step, and each grid is freed before the next is built.
+    duration.  Up to ``min(SEGMENTS, CPUs)`` segments step at once in
+    worker threads that each write their own rows of the traces.  The grids
+    are built here, largest first and only once a worker is free, so a grid
+    over the cap fails before any step and no more grids than workers are
+    alive.  A worker's exception is raised here after every worker stopped.
     """
+    from concurrent.futures import ThreadPoolExecutor  # off the CLI's import path
+
     if target_dx is None:
         target_dx = min(time_grid.dt, phantom.spacing)
     out = np.empty((time_grid.count, sensors.n))
     times = time_grid.times
-    for j in range(SEGMENTS, 0, -1):
-        lo, hi = time_grid.count * (j - 1) // SEGMENTS, time_grid.count * j // SEGMENTS
-        if lo == hi:
-            continue
-        prop = SpectralPropagator(phantom, sensors, time_grid.duration * j / SEGMENTS,
-                                  target_dx=target_dx)
-        for i in range(lo, hi):
-            out[i] = prop.sample(prop.pressure_field(times[i], prop.rows))
-        del prop
+    workers = min(SEGMENTS, _cpu_count())
+    free = threading.Semaphore(workers)
+
+    def step(grid: list, lo: int, hi: int) -> None:
+        prop = grid.pop()  # the only reference, so the grid is freed before its slot
+        try:
+            for i in range(lo, hi):
+                out[i] = prop.sample(prop.pressure_field(times[i], prop.rows))
+        finally:
+            del prop
+            free.release()
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = []
+        for j in range(SEGMENTS, 0, -1):
+            lo, hi = time_grid.count * (j - 1) // SEGMENTS, time_grid.count * j // SEGMENTS
+            if lo == hi:
+                continue
+            free.acquire()
+            grid = [SpectralPropagator(phantom, sensors, time_grid.duration * j / SEGMENTS,
+                                       target_dx=target_dx)]
+            futures.append(pool.submit(step, grid, lo, hi))
+    for future in futures:
+        future.result()
     return WaveData(out, time_grid, sensors, kind="pressure")

@@ -110,6 +110,8 @@ class TestPipelineCommands:
         assert main(["simulate", "--config", cfg, "--out", str(sim_dir)]) == 0
         data = sim_dir / "data_forward.atw"
         assert data.exists()
+        files = (data, Path(f"{data}.json"))
+        written = [(f.read_bytes(), f.stat().st_mtime_ns) for f in files]
         rec_dir = tmp_path / "rec"
         assert main(
             ["reconstruct", "--config", cfg, "--data", str(data), "--out", str(rec_dir)]
@@ -118,6 +120,12 @@ class TestPipelineCommands:
         assert set(metrics["errors"]) == {"naive", "compensated", "full"}
         assert set(metrics["diagnostics"]) == {"condition"}
         assert 1.0 < metrics["diagnostics"]["condition"] < np.inf
+        assert not (rec_dir / "data_forward.atw").exists()  # no copy of the input
+        # reconstructing into the data's own directory leaves the input untouched
+        assert main(
+            ["reconstruct", "--config", cfg, "--data", str(data), "--out", str(sim_dir)]
+        ) == 0
+        assert [(f.read_bytes(), f.stat().st_mtime_ns) for f in files] == written
 
     def test_run_scenario_artifacts(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, SMALL_SCENARIO)

@@ -1,6 +1,11 @@
+import threading
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from attenpat import wavefield
 from attenpat.wavefield import (
     Ellipse,
     GridCapError,
@@ -270,6 +275,67 @@ class TestSpectralPropagator:
             spectral_forward(_gaussian_phantom(), TimeGrid.from_duration(2.0, 4),
                              SensorArray.circle(1.2, 8), target_dx=2e-3)
         assert steps == []
+
+    @pytest.mark.parametrize(
+        "sensors, duration",
+        [(SensorArray.circle(1.7, 64), 6.0), (SensorArray.line(10.2, 1.7, 64), 8.0)],
+        ids=["nsw_circle", "nsw_line"],
+    )
+    def test_concurrent_segments_equal_one_at_a_time(self, sensors, duration, monkeypatch):
+        # the benchmark geometries at a coarse dx: all four segments at once, then one by one
+        ph, tg = make_shepp_logan(32), TimeGrid.from_duration(duration, 60)
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: SEGMENTS)
+        wave = spectral_forward(ph, tg, sensors, target_dx=0.05)
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: 1)
+        serial = spectral_forward(ph, tg, sensors, target_dx=0.05)
+        assert np.array_equal(wave.values, serial.values)
+
+    def test_no_more_grids_alive_than_workers(self, monkeypatch):
+        events = []  # +1 as a grid is built, -1 as it is freed
+        init = SpectralPropagator.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            events.append(1)
+            weakref.finalize(self, events.append, -1)
+
+        monkeypatch.setattr(SpectralPropagator, "__init__", counted)
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: 2)
+        spectral_forward(make_shepp_logan(32), TimeGrid.from_duration(6.0, 60),
+                         SensorArray.circle(1.7, 64), target_dx=0.05)
+        alive = np.cumsum(events)
+        assert len(events) == 2 * SEGMENTS and alive.max() <= 2 and alive[-1] == 0
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # only the last segment's worker fails; the others run to their end
+        step = SpectralPropagator.pressure_field
+
+        def failing(self, t, rows=None):
+            if t > 1.5:
+                raise FloatingPointError(f"step at t = {t:g} failed")
+            return step(self, t, rows)
+
+        monkeypatch.setattr(SpectralPropagator, "pressure_field", failing)
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: SEGMENTS)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="failed"):
+            spectral_forward(_gaussian_phantom(n=64), TimeGrid.from_duration(2.0, 40),
+                             SensorArray.circle(1.2, 8), target_dx=0.03)
+        assert threading.active_count() == threads
+
+    def test_step_allocates_nothing_grid_sized(self):
+        # numpy reports its data buffers to tracemalloc; the step writes into buffers the
+        # constructor made, leaving the ufunc's fixed casting buffer (8192 complex)
+        prop = SpectralPropagator(_gaussian_phantom(), SensorArray.circle(1.2, 32),
+                                  duration=4.0, target_dx=0.02)  # a 360-point grid
+        prop.pressure_field(0.3, prop.rows)
+        tracemalloc.start()
+        try:
+            prop.pressure_field(0.7, prop.rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < prop.size**2 * 8 / 4
 
     def test_sensor_outside_domain_rejected(self):
         ph = _gaussian_phantom()
