@@ -6,12 +6,15 @@ The 2-D universal back-projection of pressure traces p(t, xi) is
     Phi_j(d) = int_d^T  (d/dt (p/t))(t, xi_j) / sqrt(t^2 - d^2)  dt
 
 with Omega0 = 2 pi for a line and 4 pi for a circle.  The singular inner
-integral is computed with the substitution u = sqrt(t^2 - d^2), which
-turns it into a regular integral of g(sqrt(d^2 + u^2)) / sqrt(d^2 + u^2)
-handled by a uniform trapezoid rule.  Because that quadrature is a fixed
-linear functional of the time samples for each distance, the whole inner
-transform collapses into one weight matrix applied to the data, and each
-pixel then needs a single interpolation per sensor.
+integral is taken exactly over the piecewise-linear interpolant of the
+time samples: on each sample interval g = A + B t, and
+
+    int (A + B t) / sqrt(t^2 - d^2) dt = A acosh(t/d) + B sqrt(t^2 - d^2).
+
+Because that integral is a fixed linear functional of the time samples
+for each distance, the whole inner transform collapses into one weight
+matrix applied to the data, and each pixel then needs a single
+interpolation per sensor.
 
 The attenuation-corrected pipelines all share the shape: integrate the
 measured p^a in time, undo the attenuation operator (fully, or only its
@@ -152,37 +155,31 @@ def check_inside(sensors: SensorArray, pts: np.ndarray) -> None:
         raise ValueError(f"2-D back-projection does not support kind {sensors.kind!r}")
 
 
-def _inner_weight_matrix(
-    times: np.ndarray, dist_nodes: np.ndarray, duration: float, du: float
-) -> np.ndarray:
-    """Weights W with ``Phi(d_a) = sum_i W[a, i] * g(t_i)`` realizing the
-    u-substituted trapezoid rule on the piecewise-linear interpolant of g."""
-    nt = len(times)
-    dt = times[1] - times[0]
-    w = np.zeros((len(dist_nodes), nt))
-    for a, d in enumerate(dist_nodes):
-        usq = duration * duration - d * d
-        if usq <= 0:
-            continue
-        umax = np.sqrt(usq)
-        m = max(int(np.ceil(umax / du)) + 1, 2)
-        u = np.linspace(0.0, umax, m)
-        trap = np.full(m, u[1] - u[0])
-        trap[0] *= 0.5
-        trap[-1] *= 0.5
-        tu = np.hypot(u, d)
-        wt = trap / tu
-        pos = (tu - times[0]) / dt
-        i0 = np.clip(np.floor(pos).astype(int), 0, nt - 2)
-        fr = np.clip(pos - i0, 0.0, 1.0)
-        w[a] = np.bincount(i0, wt * (1.0 - fr), nt) + np.bincount(i0 + 1, wt * fr, nt)
+def _inner_weight_matrix(times: np.ndarray, dist_nodes: np.ndarray) -> np.ndarray:
+    """Weights W with ``Phi(d_a) = sum_i W[a, i] * g(t_i)``, the exact integral
+    from ``d_a`` to ``times[-1]`` of the piecewise-linear interpolant of g.
+
+    Every interval ``[t_i, t_{i+1}]`` is clipped to ``[d, times[-1]]``, and its
+    ``acosh(t/d)`` and ``sqrt(t^2 - d^2)`` increments go to columns ``i`` and
+    ``i + 1`` with the linear-interpolation weights; a node ``d >= times[-1]``
+    gets a zero row.  The nodes must satisfy ``d >= times[0]``, where the
+    interpolant starts.
+    """
+    d = dist_nodes[:, None]
+    tc = np.maximum(times, d)
+    root = np.diff(np.sqrt((tc - d) * (tc + d)), axis=1)
+    tc /= d
+    acosh = np.diff(np.arccosh(tc, out=tc), axis=1)
+    h = np.diff(times)
+    w = np.zeros((len(dist_nodes), len(times)))
+    w[:, :-1] = (times[1:] * acosh - root) / h
+    w[:, 1:] += (root - times[:-1] * acosh) / h
     return w
 
 
 def back_project(
     waves: dict,
     grid: ImageGrid,
-    du: float | None = None,
     dist_step: float | None = None,
 ) -> dict:
     """Two-dimensional universal back-projection of pressure-like traces.
@@ -195,13 +192,15 @@ def back_project(
         :class:`SensorArray` object, on a circle or line geometry.
     grid : ImageGrid
         2-D pixel grid strictly inside the valid region of the geometry.
-    du, dist_step : float, optional
-        Steps of the substituted inner quadrature (default half the time
-        step) and of the tabulated distance axis (default a quarter; the
-        tabulated profiles have square-root kinks at wavefront distances,
-        so the distance axis needs the finer sampling).  The distance
+    dist_step : float, optional
+        Step of the tabulated distance axis (default a quarter of the time
+        step; the tabulated profiles have square-root kinks at wavefront
+        distances, so the distance axis needs the finer sampling).  The
         table holds at least 32 nodes and is never coarser than
-        ``dist_step``.
+        ``dist_step``; its first node is at least the first sample time.
+
+    The inner integral of each node is exact for the piecewise-linear
+    interpolant of the time samples (:func:`_inner_weight_matrix`).
 
     Returns each trace set's image under its tag.  The weight table and,
     per sensor, the pixel distances, table indices and ``n . (xi - x)``
@@ -222,7 +221,6 @@ def back_project(
         raise ValueError(f"need at least two time samples to back-project, got {tg.count}")
 
     omega0 = 4.0 * np.pi if sensors.kind == "circle" else 2.0 * np.pi
-    du = du if du is not None else tg.dt / 2.0
     dist_step = dist_step if dist_step is not None else tg.dt / 4.0
     images = [np.zeros(grid.shape) for _ in waves]
     pr = np.hypot(pts[:, 0], pts[:, 1]).max()
@@ -231,7 +229,7 @@ def back_project(
     d_hi = min(float(sr.max() + pr), tg.duration * (1.0 - 1e-9))
     if d_hi > d_lo:  # else the recording window ends before any signal reaches a pixel
         n_d = int(max(np.ceil((d_hi - d_lo) / dist_step) + 1, 32))
-        weights = _inner_weight_matrix(tg.times, np.linspace(d_lo, d_hi, n_d), tg.duration, du)
+        weights = _inner_weight_matrix(tg.times, np.linspace(d_lo, d_hi, n_d))
         # (n_sensors, n_d) per trace set: each sensor's profile is contiguous
         profiles = [_dt_ratio_traces(wave).T @ weights.T for wave in waves.values()]
         slopes = [np.diff(phi, axis=1) for phi in profiles]
@@ -262,7 +260,7 @@ def back_project(
             img *= -4.0 / omega0
     return {
         method: ReconImage(img, grid, method,
-                           provenance={"geometry": sensors.kind, "du": du, "dist_step": dist_step})
+                           provenance={"geometry": sensors.kind, "dist_step": dist_step})
         for method, img in zip(waves, images)
     }
 
@@ -270,12 +268,11 @@ def back_project(
 def ubp_2d(
     wave: WaveData,
     grid: ImageGrid,
-    du: float | None = None,
     dist_step: float | None = None,
     method: str = "naive-ubp",
 ) -> ReconImage:
     """:func:`back_project` of one set of traces, tagged ``method``."""
-    return back_project({method: wave}, grid, du, dist_step)[method]
+    return back_project({method: wave}, grid, dist_step)[method]
 
 
 def ubp_3d_spherical(traces: WaveData, grid: ImageGrid) -> ReconImage:

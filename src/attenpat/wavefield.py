@@ -434,7 +434,9 @@ class SpectralPropagator:
         h = np.zeros((size, size))
         h[bx, by] = phantom.evaluate(*np.meshgrid(self.axis[bx], self.axis[by], indexing="ij"))
         abs_k = self.abs_k
-        self.h_hat = rfft2(h) * _band_taper(abs_k * (self.dx / np.pi))
+        # kept transposed so the inverse transform along kx is contiguous
+        self._h_hat_t = np.ascontiguousarray(
+            (rfft2(h) * _band_taper(abs_k * (self.dx / np.pi))).T)
         del h  # before np.unique's sort, the constructor's peak
         # |k| takes about a fifth as many distinct values as there are modes
         self._k_unique, inverse = np.unique(abs_k.T, return_inverse=True)
@@ -447,10 +449,10 @@ class SpectralPropagator:
             raise ValueError("sensor outside the padded computational domain")
         g = (pts - self.axis[0]) / self.dx
         i0 = np.floor(g).astype(int)
-        (self._i0, self._j0), (self._fx, self._fy) = i0.T, (g - i0).T
+        (i0, self._j0), (self._fx, self._fy) = i0.T, (g - i0).T
         # grid rows (x indices) that the bilinear stencils read
-        self.rows = np.unique(np.concatenate([self._i0, self._i0 + 1]))
-        self._r0 = np.searchsorted(self.rows, self._i0)
+        self.rows = np.unique(np.concatenate([i0, i0 + 1]))
+        self._r0 = np.searchsorted(self.rows, i0)
 
         # step buffers: a step on self.rows allocates nothing grid-sized
         self._cos_k = np.empty_like(self._k_unique)
@@ -471,34 +473,27 @@ class SpectralPropagator:
         """Band-tapered spectrum of ``h``, shape ``(size, size // 2 + 1)``."""
         return self._h_hat_t.T
 
-    @h_hat.setter
-    def h_hat(self, value: np.ndarray) -> None:
-        # kept transposed so the inverse transform along kx is contiguous
-        self._h_hat_t = np.ascontiguousarray(np.asarray(value).T)
+    def pressure_field(self, t: float) -> np.ndarray:
+        """Pressure at time ``t`` on the grid rows ``self.rows`` that the
+        sensors' bilinear stencils read, shape ``(rows.size, size)``.
 
-    def pressure_field(self, t: float, rows: np.ndarray | None = None) -> np.ndarray:
-        """Pressure on the grid at time ``t``, or on the sensor rows ``self.rows`` only.
-
-        Bitwise equal to ``irfft2(h_hat * cos(abs_k * t))``: the same
-        ``numpy.fft`` transforms in the same order, with the final real
-        transform run only on the requested rows.  Those come as a view of a
-        step buffer, which the next step overwrites.
+        Bitwise equal to those rows of ``irfft2(h_hat * cos(abs_k * t))``: the
+        same ``numpy.fft`` transforms in the same order, with the final real
+        transform run on these rows only.  The result is a view of a step
+        buffer, which the next step overwrites.
         """
         np.cos(np.multiply(self._k_unique, t, out=self._cos_k), out=self._cos_k)
         # mode "clip" as the indices are in range; "raise" would buffer out
         cos = np.take(self._cos_k, self._k_inverse, out=self._cos, mode="clip")
         spec = np.multiply(self._h_hat_t, cos, out=self._spec)
         z = ifft(spec, axis=1, norm="forward", out=spec)  # (ky, x), in place without a copy
-        if rows is not None:  # the buffers fit self.rows only
-            z = np.take(z, rows, axis=1, out=self._z_rows, mode="clip")
-        field = irfft(z, self.size, axis=0, norm="forward",
-                      out=None if rows is None else self._field)
-        return np.multiply(field, self._norm, out=field).T  # (x, y) or (rows, y)
+        z = np.take(z, self.rows, axis=1, out=self._z_rows, mode="clip")
+        field = irfft(z, self.size, axis=0, norm="forward", out=self._field)
+        return np.multiply(field, self._norm, out=field).T
 
     def sample(self, field: np.ndarray) -> np.ndarray:
-        """Bilinear sensor values from the full field or from its ``self.rows``."""
-        i0 = self._i0 if field.shape[0] == self.size else self._r0
-        j0, fx, fy = self._j0, self._fx, self._fy
+        """Bilinear sensor values from the rows :meth:`pressure_field` returns."""
+        i0, j0, fx, fy = self._r0, self._j0, self._fx, self._fy
         return (
             (1 - fx) * (1 - fy) * field[i0, j0]
             + fx * (1 - fy) * field[i0 + 1, j0]
@@ -538,7 +533,7 @@ def spectral_forward(
         prop = grid.pop()  # the only reference, so the grid is freed before its slot
         try:
             for i in range(lo, hi):
-                out[i] = prop.sample(prop.pressure_field(times[i], prop.rows))
+                out[i] = prop.sample(prop.pressure_field(times[i]))
         finally:
             del prop
             free.release()

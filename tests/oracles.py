@@ -4,13 +4,14 @@ Everything here deliberately avoids the library's own computational
 paths: direct quadrature instead of convolution recursions, explicit
 Python loops instead of matrix assembly, Monte-Carlo-free geometric
 means and the closed-form 3-D ball traces instead of wave solvers.
+:func:`lossless_errors` is the exception: it scores images against the
+library's own back-projection of the lossless traces, so that the
+back-projection's error cancels and the attenuation step's is left.
 """
 
 import numpy as np
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 spells it trapz
 
 
 def direct_kernel_transforms(kstar_fn, orders, lags, omega_max, num_nodes):
@@ -115,6 +116,41 @@ def interp_ubp_2d(wave, grid, dist_nodes, weights):
         ndot = diff @ sensors.normals[j]
         img += sensors.weights[j] * val * ndot
     return (-4.0 / omega0) * img.reshape(grid.shape)
+
+
+def propagator_full_field(prop, t):
+    """The whole grid of a ``SpectralPropagator`` at time ``t``, by one 2-D
+    inverse transform of its mode evolution ``h_hat * cos(|k| t)`` (scipy's
+    FFT, not the propagator's staged and row-pruned numpy transforms)."""
+    from scipy.fft import irfft2
+
+    return irfft2(prop.h_hat * np.cos(prop.abs_k * t), s=(prop.size, prop.size))
+
+
+def bilinear_at_sensors(prop, field, sensors):
+    """Bilinear samples of a full propagator grid at the sensors, read through
+    a raster ``Phantom`` on the grid's nodes."""
+    from attenpat.wavefield import Phantom
+
+    raster = Phantom(field, prop.dx, (prop.axis[0], prop.axis[0]))
+    return raster.evaluate(sensors.points[:, 0], sensors.points[:, 1])
+
+
+def lossless_errors(result):
+    """Relative L2 error of each of a scenario's images against the
+    back-projection of its lossless traces, resampled onto the inversion grids
+    as the attenuated data were.  Both images share the back-projection's
+    discretization error, so what is left is the attenuation step's.  The
+    traces come from the forward cache, which ``run_scenario`` has filled."""
+    from attenpat.experiments import _forward_pressure, rel_l2_error, resample_data
+    from attenpat.recon import back_project
+
+    config = result.config
+    p = _forward_pressure(config, config.build_phantom())
+    p = resample_data(p, config.inversion_time_grid(),
+                      config.sensors(config.inversion_sensor_count))
+    lossless = back_project({"lossless": p}, result.truth.grid)["lossless"]
+    return {name: rel_l2_error(img, lossless) for name, img in result.reconstructions.items()}
 
 
 def ball_nwave_oracle(r0, distance, t):

@@ -36,7 +36,7 @@ from attenpat.wavefield import (
     disk_phantom,
     spectral_forward,
 )
-from oracles import ball_nwave_oracle, direct_kernel_transforms
+from oracles import ball_nwave_oracle, direct_kernel_transforms, lossless_errors
 
 NSW = NswModel(tau=0.11, tau_tilde=0.10)
 CONSTANT = ConstantModel(k_inf=0.45)
@@ -228,6 +228,17 @@ def test_criterion_6_experiment_error_ordering(scenario_results):
     slowest = max(timings.values())
     ok = ok and slowest < 300.0
     _report(6, ok, "; ".join(lines) + f"; slowest scenario {slowest:.0f}s (< 5min)")
+
+
+def test_full_matches_the_lossless_back_projection(scenario_results):
+    # against the truth raster every method carries the back-projection's own error
+    # (about 0.2 on the circle); against the lossless image only the attenuation step's
+    results, _ = scenario_results
+    errors = {name: lossless_errors(results[(name, 0.0)]) for name in ("nsw-circle", "nsw-line")}
+    print("\n[lossless reference] " + "; ".join(
+        f"{name}: " + ", ".join(f"{m} {e:.3e}" for m, e in err.items())
+        for name, err in errors.items()))
+    assert all(err["full"] <= 1e-2 for err in errors.values()), errors
 
 
 def test_criterion_7_noise_stability(scenario_results):

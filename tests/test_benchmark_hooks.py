@@ -27,6 +27,35 @@ def test_tracer_patches_and_restores_every_hook(monkeypatch):
     assert broken == []
 
 
+def test_tracer_hooks_bind_the_arguments_they_count(monkeypatch):
+    # the hooks read arguments by name, so a renamed parameter shows here, not at benchmark time
+    import numpy as np
+
+    from attenpat import attenuation, recon, wavefield
+    from attenpat.models import NswModel
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    tr = tracer.Tracer()
+    try:
+        tracer.install(tr)  # patches module attributes: call through the modules
+        sensors = wavefield.SensorArray.circle(1.7, 8)
+        wave = wavefield.WaveData(np.zeros((20, 8)), wavefield.TimeGrid.from_duration(6.0, 20),
+                                  sensors, "pressure")
+        recon.ubp_2d(wave, recon.ImageGrid.centered(8, 1.0))
+        attenuation.compute_r1(NswModel(0.11, 0.10), np.linspace(0.0, 1.0, 5), num_nodes=64)
+        wavefield.SpectralPropagator(wavefield.disk_phantom(0.4, 1.0, 32),
+                                     wavefield.SensorArray.circle(1.2, 8), 0.5, 0.05)
+    finally:
+        broken = tr.uninstall()
+    assert broken == []
+    counts = tr.counts[None]
+    assert counts["recon.ubp_calls"] == 1 and counts["recon.pixel_sensor_pairs"] == 64 * 8
+    assert counts["attenuation.r1_evals"] > 0
+    assert counts["wavefield.grid_n"] > 0
+
+
 def test_setup_probe_loads_the_benchmark_config():
     src = str(Path(attenpat.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -132,21 +132,36 @@ class TestUbp2d:
         from oracles import brute_force_ubp_2d
 
         p, grid, truth = _disk_setup(n_t=160, n_sensors=48, image_size=16)
-        du = p.time_grid.dt / 2.0
-        fast = ubp_2d(p, grid, du=du)
-        slow = brute_force_ubp_2d(p, grid, du=du)
+        fast = ubp_2d(p, grid)
+        slow = brute_force_ubp_2d(p, grid, du=p.time_grid.dt / 2.0)
         rel = np.linalg.norm(fast.values - slow) / np.linalg.norm(slow)
         assert rel <= 5e-3  # distance-axis tabulation error at the default step
-        finer = ubp_2d(p, grid, du=du, dist_step=p.time_grid.dt / 16.0)
+        finer = ubp_2d(p, grid, dist_step=p.time_grid.dt / 16.0)
         rel_fine = np.linalg.norm(finer.values - slow) / np.linalg.norm(slow)
         assert rel_fine <= 1e-3  # and it converges away
 
-    def test_quadrature_step_convergence(self):
-        p, grid, truth = _disk_setup(n_t=160, n_sensors=128, image_size=32)
-        coarse = ubp_2d(p, grid)
-        fine = ubp_2d(p, grid, du=p.time_grid.dt / 4.0)
-        rel = np.linalg.norm(fine.values - coarse.values) / np.linalg.norm(fine.values)
-        assert rel <= 1e-3
+    def test_inner_weights_exact_on_linear_data(self):
+        # on the benchmark time grid the table integrates 1 and t exactly: over [d, T],
+        # dt / sqrt(t^2 - d^2) integrates to acosh(T/d) and t dt / sqrt(...) to sqrt(T^2 - d^2)
+        from attenpat.recon import _inner_weight_matrix
+
+        tg = TimeGrid.from_duration(6.0, 443)
+        t, T = tg.times, tg.times[-1]
+        # from the first sample, the least node back_project tabulates, to just below T
+        d = np.linspace(tg.dt, T * (1.0 - 1e-9), 830)
+        w = _inner_weight_matrix(t, d)
+        acosh, root = np.arccosh(T / d), np.sqrt((T - d) * (T + d))
+        assert np.abs(w @ np.ones_like(t) - acosh).max() <= 1e-13 * acosh.max()
+        assert np.abs(w @ t - root).max() <= 1e-13 * root.max()
+
+    def test_inner_weights_vanish_beyond_the_window(self):
+        from attenpat.recon import _inner_weight_matrix
+
+        tg = TimeGrid.from_duration(6.0, 50)
+        T = tg.times[-1]
+        w = _inner_weight_matrix(tg.times, np.array([T / 2.0, T, 1.5 * T]))
+        assert np.any(w[0] != 0.0)
+        assert np.all(w[1:] == 0.0)
 
     def test_fine_dist_step_honoured(self, monkeypatch):
         # a step that needs more than 4096 distance nodes is not coarsened
@@ -155,9 +170,9 @@ class TestUbp2d:
         tabulated = {}
         inner = recon._inner_weight_matrix
 
-        def spy(times, dist_nodes, duration, du):
+        def spy(times, dist_nodes):
             tabulated["nodes"] = dist_nodes
-            return inner(times, dist_nodes, duration, du)
+            return inner(times, dist_nodes)
 
         monkeypatch.setattr(recon, "_inner_weight_matrix", spy)
         tg = TimeGrid.from_duration(6.0, 100)
@@ -187,9 +202,9 @@ class TestUbp2d:
         table = {}
         inner = recon._inner_weight_matrix
 
-        def spy(times, dist_nodes, *rest):
+        def spy(times, dist_nodes):
             table["nodes"] = dist_nodes
-            table["weights"] = inner(times, dist_nodes, *rest)
+            table["weights"] = inner(times, dist_nodes)
             return table["weights"]
 
         monkeypatch.setattr(recon, "_inner_weight_matrix", spy)
@@ -248,8 +263,8 @@ class TestBackProject:
         tables = []
         inner = recon._inner_weight_matrix
 
-        def spy(times, dist_nodes, *rest):
-            tables.append((dist_nodes, inner(times, dist_nodes, *rest)))
+        def spy(times, dist_nodes):
+            tables.append((dist_nodes, inner(times, dist_nodes)))
             return tables[-1][1]
 
         monkeypatch.setattr(recon, "_inner_weight_matrix", spy)
