@@ -177,6 +177,32 @@ def _inner_weight_matrix(times: np.ndarray, dist_nodes: np.ndarray) -> np.ndarra
     return w
 
 
+def _mirror_pairs(sensors: SensorArray, grid: ImageGrid) -> tuple:
+    """The sensors grouped into mirror pairs ``(j, m)`` and self-mirrored
+    ``(j,)``, and the image axis the mirror reverses.
+
+    Circle sensor ``(n - j) mod n`` is sensor ``j`` reflected in the x-axis,
+    which reverses image axis 1; line sensor ``n - 1 - j`` is sensor ``j``
+    reflected in ``x = 0``, which reverses image axis 0.  Unless the
+    positions, the weighted normals and that pixel axis all reflect onto
+    themselves to rounding, every sensor is listed alone.
+    """
+    n = sensors.n
+    axis, partner = (1, -np.arange(n) % n) if sensors.kind == "circle" else (0, np.arange(n)[::-1])
+    flip = np.ones(2)
+    flip[axis] = -1.0
+    wn = sensors.weights[:, None] * sensors.normals
+    pix = grid.axes()[axis]
+
+    def mirrored(a, b):
+        return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    if (mirrored(sensors.points[partner], sensors.points * flip)
+            and mirrored(wn[partner], wn * flip) and mirrored(pix[::-1], -pix)):
+        return [(j,) if m == j else (j, int(m)) for j, m in enumerate(partner) if j <= m], axis
+    return [(j,) for j in range(n)], axis
+
+
 def back_project(
     waves: dict,
     grid: ImageGrid,
@@ -203,8 +229,10 @@ def back_project(
     interpolant of the time samples (:func:`_inner_weight_matrix`).
 
     Returns each trace set's image under its tag.  The weight table and,
-    per sensor, the pixel distances, table indices and ``n . (xi - x)``
-    are computed once and shared; the images do not interact.
+    per mirror pair of sensors (:func:`_mirror_pairs`), the pixel distances,
+    table indices and interpolation weights are computed once and shared;
+    the partner's terms go to a mirror image added reversed along the mirror
+    axis.  The images do not interact.
     """
     first = next(iter(waves.values()))
     sensors, tg = first.sensors, first.time_grid
@@ -232,7 +260,8 @@ def back_project(
         weights = _inner_weight_matrix(tg.times, np.linspace(d_lo, d_hi, n_d))
         # (n_sensors, n_d) per trace set: each sensor's profile is contiguous
         profiles = [_dt_ratio_traces(wave).T @ weights.T for wave in waves.values()]
-        slopes = [np.diff(phi, axis=1) for phi in profiles]
+        pairs, axis = _mirror_pairs(sensors, grid)
+        mirrors = [np.zeros(grid.shape) for _ in waves]
 
         # The grid is a tensor product, so per sensor the distance and n.(xi - x)
         # separate into x and y parts, and the uniform distance axis turns
@@ -240,7 +269,8 @@ def back_project(
         # d_lo, phi[-1] at d_hi, zero beyond).
         ax, ay = grid.axes()
         inv_step = (n_d - 1) / (d_hi - d_lo)
-        for j in range(sensors.n):
+        for pair in pairs:
+            j = pair[0]
             dx = sensors.points[j, 0] - ax
             dy = sensors.points[j, 1] - ay
             d = np.sqrt(np.add.outer(dx * dx, dy * dy))
@@ -248,15 +278,22 @@ def back_project(
             idx = np.minimum(pos.astype(np.intp), n_d - 2)
             frac = pos - idx
             nx, ny = sensors.weights[j] * sensors.normals[j]
-            ndot = np.add.outer(nx * dx, ny * dy)
-            ndot[d > d_hi] = 0.0
-            for img, phi, slope in zip(images, profiles, slopes):
-                val = slope[j].take(idx)
-                val *= frac
-                val += phi[j].take(idx)
-                val *= ndot
-                img += val
-        for img in images:
+            w0 = np.add.outer(nx * dx, ny * dy)
+            w0[d > d_hi] = 0.0
+            w1 = w0 * frac  # phi is read at idx with w0 = ndot (1 - frac), at idx + 1 with w1
+            w0 -= w1
+            idx1 = idx + 1
+            # the partner sees this geometry on the grid reversed along `axis`
+            for s, accs in zip(pair, (images, mirrors)):
+                for acc, phi in zip(accs, profiles):
+                    val = phi[s].take(idx)
+                    val *= w0
+                    hi = phi[s].take(idx1)
+                    hi *= w1
+                    val += hi
+                    acc += val
+        for img, mirror in zip(images, mirrors):
+            img += np.flip(mirror, axis)
             img *= -4.0 / omega0
     return {
         method: ReconImage(img, grid, method,

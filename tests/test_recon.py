@@ -133,12 +133,12 @@ class TestUbp2d:
 
         p, grid, truth = _disk_setup(n_t=160, n_sensors=48, image_size=16)
         fast = ubp_2d(p, grid)
-        slow = brute_force_ubp_2d(p, grid, du=p.time_grid.dt / 2.0)
+        slow = brute_force_ubp_2d(p, grid, du=p.time_grid.dt / 16.0)
         rel = np.linalg.norm(fast.values - slow) / np.linalg.norm(slow)
         assert rel <= 5e-3  # distance-axis tabulation error at the default step
         finer = ubp_2d(p, grid, dist_step=p.time_grid.dt / 16.0)
         rel_fine = np.linalg.norm(finer.values - slow) / np.linalg.norm(slow)
-        assert rel_fine <= 1e-3  # and it converges away
+        assert rel_fine <= 5e-4  # and it converges away
 
     def test_inner_weights_exact_on_linear_data(self):
         # on the benchmark time grid the table integrates 1 and t exactly: over [d, T],
@@ -252,11 +252,16 @@ class TestUbp2d:
 
 class TestBackProject:
     @pytest.mark.parametrize(
-        "duration, sensors",
-        [(6.0, SensorArray.circle(1.7, 48)), (4.0, SensorArray.line(10.2, 1.7, 64))],
-        ids=["circle", "line-cut-by-duration"],
+        "duration, sensors, grid, pairs, singles",
+        [(6.0, SensorArray.circle(1.7, 49), ImageGrid.centered(24, 1.0), 24, 1),
+         (6.0, SensorArray.circle(1.7, 48), ImageGrid.centered(24, 1.0), 23, 2),
+         (8.0, SensorArray.line(10.2, 1.7, 65), ImageGrid.centered(24, 1.0), 32, 1),
+         (4.0, SensorArray.line(10.2, 1.7, 64), ImageGrid.centered(24, 1.0), 32, 0),
+         (6.0, SensorArray.circle(1.7, 48), ImageGrid((24, 20), 1.0 / 12.0, (-0.9, -0.7)), 0, 48)],
+        ids=["circle-odd", "circle-even", "line-odd", "line-cut-by-duration", "off-centre"],
     )
-    def test_stacked_members_match_interp_reference(self, monkeypatch, duration, sensors):
+    def test_stacked_members_match_interp_reference(self, monkeypatch, duration, sensors, grid,
+                                                    pairs, singles):
         import attenpat.recon as recon
         from oracles import interp_ubp_2d
 
@@ -268,8 +273,9 @@ class TestBackProject:
             return tables[-1][1]
 
         monkeypatch.setattr(recon, "_inner_weight_matrix", spy)
+        sizes = [len(pair) for pair in recon._mirror_pairs(sensors, grid)[0]]
+        assert (sizes.count(2), sizes.count(1)) == (pairs, singles)
         tg = TimeGrid.from_duration(duration, 50)
-        grid = ImageGrid.centered(24, 1.0)
         rng = np.random.default_rng(23)
         waves = {kind + str(i): _wave(rng.standard_normal((50, sensors.n)), tg, sensors, kind)
                  for i, kind in enumerate(("pressure", "attenuated", "pressure"))}
@@ -280,9 +286,25 @@ class TestBackProject:
             ref = interp_ubp_2d(wave, grid, nodes, weights)
             assert images[tag].method == tag
             assert np.max(np.abs(images[tag].values - ref)) <= 1e-12 * np.abs(ref).max()
-        if sensors.kind == "line":  # the recording window does cut the table
+        if duration == 4.0:  # the recording window does cut the table
             d = np.linalg.norm(sensors.points[:, None] - grid.points()[None], axis=2)
             assert np.any(d > nodes[-1])
+
+    @pytest.mark.parametrize("name", ["nsw_circle", "nsw_line"])
+    def test_benchmark_geometries_pair_every_sensor(self, name):
+        # an unpaired benchmark geometry would still image correctly, at twice the geometry cost
+        import json
+        from pathlib import Path
+
+        from attenpat.experiments import ScenarioConfig
+        from attenpat.recon import _mirror_pairs
+
+        path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+        cfg = ScenarioConfig.from_dict(json.loads(path.read_text()))
+        grid = cfg.image_grid()
+        assert cfg.inversion_sensor_count == 849 and grid.shape == (128, 128)
+        sizes = [len(pair) for pair in _mirror_pairs(cfg.sensors(849), grid)[0]]
+        assert (sizes.count(2), sizes.count(1)) == (424, 1)
 
     def test_stack_members_do_not_interact(self):
         tg = TimeGrid.from_duration(6.0, 60)
