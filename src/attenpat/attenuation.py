@@ -30,7 +30,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .models import (
     AttenuationModel,
-    ConstantModel,
     eval_kstar,
     is_weak_variant,
     k_infinity,
@@ -158,6 +157,26 @@ class KernelSeries:
     imag_residue: float
 
 
+def _band(time_grid: TimeGrid, omega_max: float) -> float:
+    """The quadrature half-band: ``omega_max`` capped below the lag Nyquist rate."""
+    return min(omega_max, BAND_SAFETY * np.pi / time_grid.dt)
+
+
+def _taylor_order(kappa_t: float) -> int:
+    """Smallest K with ``kappa_t**(K+1) / (K+1)! <= 1e-10``, by the running
+    term ``kappa_t**k / k!``.  A term above ``1e-6 / eps`` is refused: the
+    rounding of the sum would pass the 2e-6 quadrature error of ``r_1``."""
+    k, term = 0, 1.0
+    while term > 1e-10:
+        k += 1
+        term *= kappa_t / k
+        if np.finfo(float).eps * term > 1e-6:
+            raise FloatingPointError(
+                f"Taylor series of exp(1j k_star t) at max|k_star| T = {kappa_t:.4g} has a "
+                f"term {term:.3g}, whose rounding would exceed 1e-6")
+    return k - 1
+
+
 def kernel_series(
     model: Union[AttenuationModel, Callable],
     time_grid: TimeGrid,
@@ -170,7 +189,7 @@ def kernel_series(
     rate."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order!r}")
-    effective_omega = min(omega_max, BAND_SAFETY * np.pi / time_grid.dt)
+    effective_omega = _band(time_grid, omega_max)
     lags = lag_grid(time_grid)
     r1c = compute_r1(model, lags, omega_max=effective_omega, num_nodes=num_nodes)
     scale = float(np.max(np.abs(r1c))) or 1.0
@@ -224,20 +243,16 @@ class AttenuationSystem:
 def build_system(
     model: AttenuationModel,
     time_grid: TimeGrid,
-    order: int = 10,
     omega_max: float = DEFAULT_OMEGA_MAX,
     num_nodes: int = DEFAULT_QUAD_NODES,
 ) -> AttenuationSystem:
     """Assemble the dense attenuation system for a weak law.
 
-    ``order`` is the truncation index K of the exponential Taylor series.
-    The tests check K = 10 only for the benchmark law ``NswModel(0.11, 0.10)``
-    on 443 samples over 6 time units, where K = 10 and K = 12 agree to 1e-6.
-    A stronger law needs a larger K: ``NswModel(0.2, 0.1)`` is off by about
-    4e-3 at K = 10 against the exact kernel.
+    The Taylor series of ``exp(1j k_star t)`` is cut at the order K that
+    :func:`_taylor_order` gives for ``max|k_star| T`` over the quadrature
+    nodes and the last sample time T (K = 0 for a constant law); above about
+    25 that product is refused with ``FloatingPointError``.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order!r}")
     if not is_weak_variant(model):
         raise ValueError(
             f"cannot build an attenuation system for non-weak law {model_tag(model)}"
@@ -246,12 +261,14 @@ def build_system(
     times = time_grid.times
     diag = np.exp(-kinf * times)
     n = time_grid.count
+    omega_max = _band(time_grid, omega_max)
+    nodes = np.linspace(-omega_max, omega_max, num_nodes)
+    order = _taylor_order(float(np.max(np.abs(eval_kstar(model, nodes)))) * times[-1])
 
     matrix = np.diag(diag)
-    if not isinstance(model, ConstantModel):
+    if order:
         series = kernel_series(model, time_grid, order=order, omega_max=omega_max,
                                num_nodes=num_nodes)
-        omega_max, num_nodes = series.omega_max, series.num_nodes
         if series.imag_residue > 1e-10:
             raise FloatingPointError(
                 f"kernel quadrature is not real: relative imaginary residue "

@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_config(path: str | None, seed: int | None) -> ScenarioConfig:
+def _load_config(path: str | None, seed: int | None = None) -> ScenarioConfig:
     if path is None:
         raise ConfigError("--config: required for this subcommand")
     p = Path(path)
@@ -79,7 +79,7 @@ def _outdir(args) -> Path:
 
 
 def _cmd_validate_model(args) -> int:
-    model = _load_config(args.config, args.seed).model
+    model = _load_config(args.config).model
     grid = np.linspace(-args.omega_range, args.omega_range, args.points)
     report = validate_model(model, grid, omega0=args.omega0)
     print(report.to_text())
@@ -164,12 +164,13 @@ def _cmd_compare(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="attenpat", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON scenario/model configuration file")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON scenario/model configuration file")
+    common = argparse.ArgumentParser(add_help=False, parents=[config])
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate-model", parents=[common],
+    p = sub.add_parser("validate-model", parents=[config],
                        help="audit an attenuation model")
     p.add_argument("--omega-range", type=float, default=100.0)
     p.add_argument("--points", type=int, default=2001)
@@ -192,8 +193,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_run_scenario)
 
-    p = sub.add_parser("compare", parents=[common],
-                       help="error metrics between two image GridFiles")
+    p = sub.add_parser("compare", help="error metrics between two image GridFiles")
     p.add_argument("image_a")
     p.add_argument("image_b")
     p.set_defaults(func=_cmd_compare)

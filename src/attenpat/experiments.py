@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .attenuation import apply_attenuation, build_system
+from .attenuation import DEFAULT_OMEGA_MAX, DEFAULT_QUAD_NODES, apply_attenuation, build_system
 from .models import (
     AttenuationModel,
     ConstantModel,
@@ -229,10 +229,8 @@ class ScenarioConfig:
     )
     noise_level: float = _field(partial(finite_real, least=0.0), "noise.level", default=0.0)
     seed: int = _field(partial(finite_int, least=0), "noise.seed", default=0)
-    taylor_order: int = _field(finite_int, "taylor_order", default=10)
-    forward_taylor_order: int = _field(finite_int, "forward_taylor_order", default=14)
-    omega_max: float = _field(positive_real, "omega_max", default=200.0)
-    quad_nodes: int = _field(finite_int, "quad_nodes", default=2**14)
+    omega_max: float = _field(positive_real, "omega_max", default=DEFAULT_OMEGA_MAX)
+    quad_nodes: int = _field(finite_int, "quad_nodes", default=DEFAULT_QUAD_NODES)
     forward_quad_nodes: int = _field(finite_int, "forward_quad_nodes", default=2**15)
     regularization: float | None = _field(
         _regularization, "regularization", lambda lam: lam or "none", default=None
@@ -345,7 +343,7 @@ class ScenarioResult:
     errors: dict
     cross_sections: dict  # name -> (coordinates, values)
     runtimes: dict
-    diagnostics: dict  # "condition": exact 1-norm condition of M, unregularized only
+    diagnostics: dict  # "taylor_order": K of M; "condition": its 1-norm condition if unregularized
 
 
 def add_noise(wave: WaveData, level: float, seed: int) -> WaveData:
@@ -478,13 +476,8 @@ def simulate_scenario(config: ScenarioConfig):
         p = _forward_pressure(config, phantom)
     with _stage("forward-attenuation", runtimes):
         q = time_integrate(p)
-        system = build_system(
-            config.model,
-            config.forward_time_grid(),
-            order=config.forward_taylor_order,
-            omega_max=config.omega_max,
-            num_nodes=config.forward_quad_nodes,
-        )
+        system = build_system(config.model, config.forward_time_grid(),
+                              omega_max=config.omega_max, num_nodes=config.forward_quad_nodes)
         qa = apply_attenuation(system, q)
         pa = time_differentiate(qa)
     with _stage("noise", runtimes):
@@ -520,17 +513,12 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
         with _stage("reconstruct-compensated", runtimes):
             traces["compensated"] = compensated_traces(pa_inv, k_infinity(config.model))
     with _stage("reconstruct-full", runtimes):
-        system = build_system(
-            config.model,
-            inv_tg,
-            order=config.taylor_order,
-            omega_max=config.omega_max,
-            num_nodes=config.quad_nodes,
-        )
+        system = build_system(config.model, inv_tg, omega_max=config.omega_max,
+                              num_nodes=config.quad_nodes)
         traces["full"] = full_traces(pa_inv, system, regularization=config.regularization)
-        # the direct solve has computed M^{-1}, so its condition is free
-        regularized = config.regularization is not None
-        diagnostics = {} if regularized else {"condition": system.condition_estimate()}
+        diagnostics = {"taylor_order": system.order}
+        if config.regularization is None:  # the direct solve has computed M^{-1}
+            diagnostics["condition"] = system.condition_estimate()
 
     with _stage("back-projection", runtimes):
         tags = {"naive": "naive-ubp", "compensated": "compensated", "full": "full"}

@@ -120,12 +120,14 @@ def time_differentiate(wave: WaveData) -> WaveData:
     if wave.time_grid.count < 2:
         raise ValueError("need at least two time samples to differentiate")
     kind_map = {"integrated": "pressure", "attenuated_integrated": "attenuated"}
+    if wave.kind not in kind_map:
+        raise ValueError(f"cannot differentiate data of kind {wave.kind!r}")
     v = wave.values
     p = np.empty_like(v)
     p[0] = v[0]
     np.subtract(v[1:], v[:-1], out=p[1:])
     p /= wave.time_grid.dt
-    return wave.replace_values(p, kind=kind_map.get(wave.kind, wave.kind))
+    return wave.replace_values(p, kind=kind_map[wave.kind])
 
 
 def _dt_ratio_traces(wave: WaveData) -> np.ndarray:
@@ -203,11 +205,7 @@ def _mirror_pairs(sensors: SensorArray, grid: ImageGrid) -> tuple:
     return [(j,) for j in range(n)], axis
 
 
-def back_project(
-    waves: dict,
-    grid: ImageGrid,
-    dist_step: float | None = None,
-) -> dict:
+def back_project(waves: dict, grid: ImageGrid) -> dict:
     """Two-dimensional universal back-projection of pressure-like traces.
 
     Parameters
@@ -218,15 +216,13 @@ def back_project(
         :class:`SensorArray` object, on a circle or line geometry.
     grid : ImageGrid
         2-D pixel grid strictly inside the valid region of the geometry.
-    dist_step : float, optional
-        Step of the tabulated distance axis (default a quarter of the time
-        step; the tabulated profiles have square-root kinks at wavefront
-        distances, so the distance axis needs the finer sampling).  The
-        table holds at least 32 nodes and is never coarser than
-        ``dist_step``; its first node is at least the first sample time.
 
-    The inner integral of each node is exact for the piecewise-linear
-    interpolant of the time samples (:func:`_inner_weight_matrix`).
+    The distance axis is tabulated at a quarter of the time step or finer
+    (the profiles have square-root kinks at wavefront distances, so it needs
+    the finer sampling), with at least 32 nodes, the first at least the first
+    sample time.  The inner integral of each node is exact for the
+    piecewise-linear interpolant of the time samples
+    (:func:`_inner_weight_matrix`).
 
     Returns each trace set's image under its tag.  The weight table and,
     per mirror pair of sensors (:func:`_mirror_pairs`), the pixel distances,
@@ -249,7 +245,7 @@ def back_project(
         raise ValueError(f"need at least two time samples to back-project, got {tg.count}")
 
     omega0 = 4.0 * np.pi if sensors.kind == "circle" else 2.0 * np.pi
-    dist_step = dist_step if dist_step is not None else tg.dt / 4.0
+    dist_step = tg.dt / 4.0
     images = [np.zeros(grid.shape) for _ in waves]
     pr = np.hypot(pts[:, 0], pts[:, 1]).max()
     sr = np.linalg.norm(sensors.points, axis=1)
@@ -302,14 +298,9 @@ def back_project(
     }
 
 
-def ubp_2d(
-    wave: WaveData,
-    grid: ImageGrid,
-    dist_step: float | None = None,
-    method: str = "naive-ubp",
-) -> ReconImage:
+def ubp_2d(wave: WaveData, grid: ImageGrid, method: str = "naive-ubp") -> ReconImage:
     """:func:`back_project` of one set of traces, tagged ``method``."""
-    return back_project({method: wave}, grid, dist_step)[method]
+    return back_project({method: wave}, grid)[method]
 
 
 def ubp_3d_spherical(traces: WaveData, grid: ImageGrid) -> ReconImage:

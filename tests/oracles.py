@@ -45,17 +45,36 @@ def attenuated_series_loop(r_rows, times, dt, k_inf, q_column):
     import math
 
     n = len(times)
-    order = len(r_rows)
+    # Python floats: the loop runs n * n * K times, and numpy scalars are slow
+    t = [float(v) for v in times]
+    rows = [[float(v) for v in row] for row in r_rows]
+    fact = [math.factorial(k) for k in range(len(rows) + 1)]
     qa = np.zeros(n)
     for i in range(n):
-        acc = np.exp(-k_inf * times[i]) * q_column[i]
+        acc = np.exp(-k_inf * t[i]) * q_column[i]
         for m in range(n):
             series = 0.0
-            for k in range(1, order + 1):
-                series += times[m] ** k / math.factorial(k) * r_rows[k - 1][i - m + n - 1]
-            acc += dt / SQRT_2PI * np.exp(-k_inf * times[m]) * series * q_column[m]
+            lag = i - m + n - 1
+            for k, row in enumerate(rows, start=1):
+                series += t[m] ** k / fact[k] * row[lag]
+            acc += dt / SQRT_2PI * np.exp(-k_inf * t[m]) * series * q_column[m]
         qa[i] = acc
     return qa
+
+
+def series_matrix(r_rows, times, dt, k_inf):
+    """The matrix whose product with q is :func:`attenuated_series_loop`,
+    summed order by order with ``math.factorial`` over an explicit table of
+    lag indices ``i - m + n - 1``."""
+    import math
+
+    n = len(times)
+    lag = np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1
+    column = dt / SQRT_2PI * np.exp(-k_inf * times)
+    out = np.diag(np.exp(-k_inf * times))
+    for k in range(1, len(r_rows) + 1):
+        out += column * times**k / math.factorial(k) * r_rows[k - 1][lag]
+    return out
 
 
 def _dt_ratio(wave):

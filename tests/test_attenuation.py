@@ -21,7 +21,7 @@ from attenpat.models import (
     k_infinity,
 )
 from attenpat.wavefield import SensorArray, TimeGrid, WaveData
-from oracles import attenuated_series_loop, direct_kernel_transforms
+from oracles import attenuated_series_loop, direct_kernel_transforms, series_matrix
 
 NSW = NswModel(tau=0.11, tau_tilde=0.10)
 CONSTANT = ConstantModel(k_inf=0.45)
@@ -126,34 +126,60 @@ class TestBuildSystem:
         assert np.array_equal(system.matrix, np.eye(443))
 
     def test_order_validated(self):
+        # the order is computed from the law, never passed; kernel_series checks its count
+        with pytest.raises(TypeError):
+            build_system(NSW, GRID_443, order=10)
         with pytest.raises(ValueError):
-            build_system(NSW, GRID_443, order=0)
+            kernel_series(NSW, GRID_443, order=0)
+
+    @pytest.mark.parametrize("model, duration, count, nodes, order", [
+        pytest.param(NSW, 6.0, 443, 2**14, 20, id="nsw-inversion"),
+        pytest.param(NSW, 6.0, 500, 2**15, 20, id="nsw-forward"),
+        pytest.param(NswModel(0.2, 0.1), 6.0, 443, 2**14, 57, id="nsw-0.2"),
+        pytest.param(NswModel(0.3, 0.1), 6.0, 443, 2**14, 71, id="nsw-0.3"),
+        pytest.param(CONSTANT, 6.0, 443, 2**14, 0, id="constant"),
+    ])
+    def test_order_from_the_law(self, model, duration, count, nodes, order):
+        # the smallest K with (max|k*| T)**(K+1) / (K+1)! <= 1e-10
+        system = build_system(model, TimeGrid.from_duration(duration, count), num_nodes=nodes)
+        assert system.order == order
+        assert f"|K={order}|" in system.fingerprint
 
     def test_strong_law_rejected(self):
         with pytest.raises(ValueError):
             build_system(PowerLawModel(0.005, 2.0), GRID_443)
 
     def test_matrix_is_real_and_finite(self):
-        system = build_system(NSW, GRID_443, order=10)
+        system = build_system(NSW, GRID_443)
         assert system.matrix.dtype == np.float64
         assert np.all(np.isfinite(system.matrix))
 
-    @pytest.mark.parametrize("count,order,nodes", [
-        pytest.param(443, 3, 2**14, id="443-3"),
-        pytest.param(60, 10, 2**14, id="60-10"),
-        pytest.param(500, 14, 2**15, id="500-14"),  # the forward system of a scenario
+    @pytest.mark.parametrize("count,nodes", [
+        pytest.param(443, 2**14, id="443"),
+        pytest.param(60, 2**14, id="60"),
+        pytest.param(500, 2**15, id="500"),  # the forward system of a scenario
     ])
-    def test_against_plain_loop_summation(self, count, order, nodes):
+    def test_against_plain_loop_summation(self, count, nodes):
         # independent loop evaluation of the truncated-series quadrature, at full
-        # grid size, at full series order, and at the forward shape; a random q
+        # grid size, at the computed order, and at the forward shape; a random q
         # sees every entry of M, where q = 1 would see only its row sums
         tg = TimeGrid.from_duration(6.0, count)
-        system = build_system(NSW, tg, order=order, num_nodes=nodes)
-        series = kernel_series(NSW, tg, order=order, num_nodes=nodes)
+        system = build_system(NSW, tg, num_nodes=nodes)
+        series = kernel_series(NSW, tg, order=system.order, num_nodes=nodes)
         q = np.random.default_rng(count).standard_normal(count)
         direct = attenuated_series_loop(series.r, tg.times, tg.dt, k_infinity(NSW), q)
         via_matrix = system.matrix @ q
         assert np.max(np.abs(via_matrix - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_stronger_law_converged(self):
+        # NswModel(0.2, 0.1) needs K = 57; a fixed K = 10 was off by 3.9e-3
+        law = NswModel(0.2, 0.1)
+        system = build_system(law, GRID_443)
+        series = kernel_series(law, GRID_443, order=system.order + 20)
+        q = np.random.default_rng(18).standard_normal(443)
+        direct = attenuated_series_loop(series.r, GRID_443.times, GRID_443.dt,
+                                        k_infinity(law), q)
+        assert np.max(np.abs(system.matrix @ q - direct)) <= 1e-9 * np.max(np.abs(direct))
 
     def test_asymmetric_kstar_refused(self):
         # k_star(-w) != -conj(k_star(w)): r_1 comes out complex and M would not be real
@@ -163,25 +189,41 @@ class TestBuildSystem:
             build_system(law, TimeGrid.from_duration(6.0, 100))
 
     def test_taylor_overflow_names_first_order(self):
-        # t**k at t_max = 1000 first exceeds the largest double at k = 103
-        tg = TimeGrid.from_duration(1000.0, 100)
-        big = np.log10(np.finfo(float).max)
+        # a law weak enough for the rounding bound on a grid long enough that the
+        # coefficient overflows before the series converges: max|k*| T = 20 needs
+        # K = 71, and (dt / sqrt(2 pi)) t**k at t_max = 1e6 first exceeds the
+        # largest double at k = 51
+        w = np.linspace(-1e-3, 1e-3, 21)
+        law = TabulatedWeakModel(omega=w, kstar=np.full(w.size, 2e-5j), k_inf=0.0)
+        tg = TimeGrid.from_duration(1e6, 100)
+        big = np.log10(np.finfo(float).max) - np.log10(tg.dt / np.sqrt(2.0 * np.pi))
         first = next(k for k in range(1, 200) if k * np.log10(tg.times[-1]) > big)
-        assert np.all(np.isfinite(build_system(NSW, tg, order=first - 1).matrix))
+        assert first == 51
         with np.errstate(over="ignore"), pytest.raises(
             FloatingPointError, match=rf"^Taylor term t\*\*{first}/{first}! overflows"
         ):
-            build_system(NSW, tg, order=first + 10)
+            build_system(law, tg)
+
+    @pytest.mark.parametrize("model, duration, count, kappa_t", [
+        # unrefused, the series terms would climb to about 1e195 before they fall
+        pytest.param(NSW, 1000.0, 100, "454.5", id="nsw-1000"),
+        pytest.param(NswModel(0.3, 0.1), 8.0, 443, "26.67", id="nsw-0.3-8"),
+    ])
+    def test_taylor_rounding_refused(self, model, duration, count, kappa_t):
+        with pytest.raises(FloatingPointError, match=rf"max\|k_star\| T = {kappa_t} "):
+            build_system(model, TimeGrid.from_duration(duration, count))
 
     def test_taylor_truncation_converged(self):
-        m10 = build_system(NSW, GRID_443, order=10).matrix
-        m12 = build_system(NSW, GRID_443, order=12).matrix
-        assert np.max(np.abs(m10 - m12)) <= 1e-6
+        # the computed M against ten more orders of the plain sum
+        system = build_system(NSW, GRID_443)
+        series = kernel_series(NSW, GRID_443, order=system.order + 10)
+        more = series_matrix(series.r, GRID_443.times, GRID_443.dt, k_infinity(NSW))
+        assert np.max(np.abs(system.matrix - more)) <= 1e-12 * np.max(np.abs(system.matrix))
 
     def test_causality_of_columns(self):
         # entries with t_m beyond t_i come only from the band-truncation
         # ringing of the kernels; they stay a small fraction of each column
-        system = build_system(NSW, GRID_443, order=10)
+        system = build_system(NSW, GRID_443)
         b = system.matrix - np.diag(np.exp(-0.45 * GRID_443.times))
         future = np.triu(b, k=3)
         col = np.linalg.norm(b, axis=0)
@@ -222,7 +264,7 @@ class TestApplyInvert:
         assert qa.values[i, 0] == pytest.approx(np.exp(-0.9), rel=1e-12)
 
     def test_zero_data(self):
-        system = build_system(NSW, TimeGrid.from_duration(6.0, 100), order=6)
+        system = build_system(NSW, TimeGrid.from_duration(6.0, 100))
         qa = apply_attenuation(system, _wave(np.zeros((100, 3)), system.time_grid))
         assert np.all(qa.values == 0.0)
 
@@ -238,7 +280,7 @@ class TestApplyInvert:
             apply_attenuation(system, _wave(np.zeros((443, 2)), GRID_443, kind="pressure"))
 
     def test_round_trip(self):
-        system = build_system(NSW, GRID_443, order=10)
+        system = build_system(NSW, GRID_443)
         rng = np.random.default_rng(11)
         # smooth columns: random low-order Fourier sums
         t = GRID_443.times
@@ -268,7 +310,7 @@ class TestApplyInvert:
         assert np.max(np.abs(back.values - expect)) <= 1e-9
 
     def test_tikhonov_consistency_on_clean_data(self):
-        system = build_system(NSW, GRID_443, order=10)
+        system = build_system(NSW, GRID_443)
         rng = np.random.default_rng(7)
         t = GRID_443.times
         q = np.sin(t)[:, None] * rng.standard_normal((1, 3)) + np.cos(2 * t)[:, None]
@@ -319,7 +361,7 @@ class TestApplyInvert:
         assert err.value.condition > 0.01 / np.finfo(float).eps
 
     def test_random_round_trip_on_nsw_443(self):
-        system = build_system(NSW, GRID_443, order=10)
+        system = build_system(NSW, GRID_443)
         q = np.random.default_rng(17).standard_normal((443, 6))
         back = invert_attenuation(system, apply_attenuation(system, _wave(q, GRID_443)))
         assert np.max(np.abs(back.values - q)) <= 1e-10 * np.max(np.abs(q))
@@ -333,7 +375,7 @@ class TestApplyInvert:
             return real_inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", spy)
-        system = build_system(NSW, GRID_443, order=10)
+        system = build_system(NSW, GRID_443)
         qa = apply_attenuation(system, _wave(np.ones((443, 3)), GRID_443))
         first = invert_attenuation(system, qa)
         assert system.condition_estimate() > 1.0
@@ -346,7 +388,7 @@ class TestConditioning:
     def test_condition_is_exact_one_norm(self):
         from scipy.linalg import lapack, lu_factor
 
-        system = build_system(NSW, GRID_443, order=10)
+        system = build_system(NSW, GRID_443)
         cond = system.condition_estimate()
         assert cond == pytest.approx(np.linalg.cond(system.matrix, 1), rel=1e-12)
         # LAPACK's dgecon estimate is a lower bound of the exact value

@@ -118,8 +118,9 @@ class TestPipelineCommands:
         ) == 0
         metrics = json.loads((rec_dir / "metrics.json").read_text())
         assert set(metrics["errors"]) == {"naive", "compensated", "full"}
-        assert set(metrics["diagnostics"]) == {"condition"}
+        assert set(metrics["diagnostics"]) == {"taylor_order", "condition"}
         assert 1.0 < metrics["diagnostics"]["condition"] < np.inf
+        assert metrics["diagnostics"]["taylor_order"] == 20
         assert not (rec_dir / "data_forward.atw").exists()  # no copy of the input
         # reconstructing into the data's own directory leaves the input untouched
         assert main(
@@ -158,6 +159,19 @@ class TestPipelineCommands:
         assert main(["simulate", "--config", cfg, "--out", str(out), "--threads", "4"]) == 1
         assert "--threads" in capsys.readouterr().err
         assert not (out / "data_forward.atw").exists()
+
+    def test_compare_takes_no_config_or_seed(self, tmp_path, capsys):
+        a = tmp_path / "a.atw"
+        write_grid(a, np.ones((8, 8)), kind="image")
+        assert main(["compare", str(a), str(a), "--config", str(tmp_path / "none.json")]) == 1
+        assert "--config" in capsys.readouterr().err
+        assert main(["compare", str(a), str(a), "--seed", "3"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
+    def test_validate_model_takes_no_seed(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"model": {"kind": "constant", "k_inf": 0.45}})
+        assert main(["validate-model", "--config", cfg, "--seed", "3"]) == 1
+        assert "--seed" in capsys.readouterr().err
 
     def test_scalar_noise_section_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, dict(SMALL_SCENARIO, noise=0.2))

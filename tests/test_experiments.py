@@ -221,8 +221,6 @@ class TestScenarioConfig:
                 {"intensity": -0.5, "center": [0.0, 0.0], "axes": [0.1, 0.1], "angle_deg": 0.0},
             ]},
             "noise": {"level": 0.05, "seed": 17},
-            "taylor_order": 8,
-            "forward_taylor_order": 12,
             "omega_max": 150.0,
             "quad_nodes": 4096,
             "forward_quad_nodes": 8192,
@@ -240,8 +238,9 @@ class TestScenarioConfig:
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError, match="frobnicate"):
             ScenarioConfig.from_dict({"frobnicate": 1})
-        with pytest.raises(ConfigError, match="target_dx: unknown config field"):
-            ScenarioConfig.from_dict({"target_dx": 0.01})
+        for deleted in ("target_dx", "taylor_order", "forward_taylor_order"):
+            with pytest.raises(ConfigError, match=f"^{deleted}: unknown config field"):
+                ScenarioConfig.from_dict({deleted: 10})
 
     def test_bad_model_named(self):
         with pytest.raises(ConfigError, match="model.kind"):
@@ -353,7 +352,7 @@ class TestScenarioConfig:
             ({"quad_nodes": None}, "quad_nodes"),
             ({"image_size": 0, "phantom": {"kind": "shepp-logan", "grid_size": 32}},
              "image_size"),
-            ({"taylor_order": 0}, "taylor_order"),
+            ({"forward_quad_nodes": 0}, "forward_quad_nodes"),
             ({"forward_time_count": -5}, "forward_time_count"),
             ({"geometry": {"kind": "circle", "count": 0}}, "geometry.count"),
             ({"quad_nodes": 0}, "quad_nodes"),
@@ -426,13 +425,16 @@ class TestRunScenario:
             "reconstruct-full", "back-projection", "metrics",
         }
         assert all(t >= 0 for t in res.runtimes.values())
-        assert set(res.diagnostics) == {"condition"}
+        assert set(res.diagnostics) == {"taylor_order", "condition"}
         assert 1.0 < res.diagnostics["condition"] < np.inf
+        # the order computed from the law, as the image's system fingerprint records it
+        assert res.diagnostics["taylor_order"] == 20
+        assert "|K=20|" in res.reconstructions["full"].provenance["system"]
 
     def test_regularized_scenario_records_no_condition(self):
         cfg = ScenarioConfig(model=NswModel(0.11, 0.10), seed=1, regularization=1e-3, **SMALL)
         res = run_scenario(cfg)
-        assert res.diagnostics == {}
+        assert res.diagnostics == {"taylor_order": 20}
         assert res.reconstructions["full"].provenance["regularization"] == 1e-3
 
     def test_constant_scenario_skips_compensated(self):
@@ -443,6 +445,7 @@ class TestRunScenario:
         # M is diag(e^{-k_inf t}): its 1-norm condition is e^{k_inf T}
         t_end = res.data.time_grid.times[-1] - res.data.time_grid.times[0]
         assert res.diagnostics["condition"] == pytest.approx(np.exp(0.45 * t_end), rel=1e-12)
+        assert res.diagnostics["taylor_order"] == 0  # a constant law has no series
 
     def test_determinism_bitwise(self):
         cfg = ScenarioConfig(model=NswModel(0.11, 0.10), noise_level=0.2, seed=3, **SMALL)
