@@ -9,6 +9,7 @@ applicable method and score each against the rasterized ground truth.
 
 from __future__ import annotations
 
+import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -17,6 +18,7 @@ from functools import partial
 import numpy as np
 
 from .attenuation import DEFAULT_OMEGA_MAX, DEFAULT_QUAD_NODES, apply_attenuation, build_system
+from .attenuation import _band  # the effective band, which M reads
 from .models import (
     AttenuationModel,
     ConstantModel,
@@ -434,54 +436,71 @@ def cross_section(image: ReconImage, y: float = 0.0):
     return image.grid.axes()[0].copy(), image.values[:, j].copy()
 
 
-# Forward fields are deterministic in (phantom, geometry, grids), so repeated
-# scenario runs (e.g. a noisy rerun of a clean study) reuse the traces.
+# Forward data are deterministic in (phantom, geometry, grids), and p^a also in the law, its
+# band and quadrature, so a rerun that changes only the noise or the inversion reuses both.
+# One dict holds the lossless traces, shared by every law on a geometry, and each law's clean
+# p^a, at most _FORWARD_CACHE_LIMIT entries; callers get copies.
 _FORWARD_CACHE: dict = {}
 _FORWARD_CACHE_LIMIT = 8
 
 
-def _forward_pressure(config: ScenarioConfig, phantom: Phantom) -> WaveData:
+def _cached(key: tuple, compute, *args) -> WaveData:
+    if key not in _FORWARD_CACHE:
+        _FORWARD_CACHE[key] = compute(*args)
+        if len(_FORWARD_CACHE) > _FORWARD_CACHE_LIMIT:
+            _FORWARD_CACHE.pop(next(iter(_FORWARD_CACHE)))
+    return _FORWARD_CACHE[key]
+
+
+def _lossless_key(config: ScenarioConfig, phantom: Phantom) -> tuple:
     sensors = config.sensors(config.forward_sensor_count)
-    tg = config.forward_time_grid()
     # every input spectral_forward reads: the raster geometry sets the default dx and the
     # support box (of the ellipses, if any) the grid sides, the ellipses or values the field
-    key = (
+    return (
         phantom.values.shape, phantom.spacing, phantom.origin,
         phantom.ellipses if phantom.ellipses is not None else phantom.values.tobytes(),
-        sensors.kind, sensors.points.tobytes(), tg,
+        sensors.kind, sensors.points.tobytes(), config.forward_time_grid(),
     )
-    cached = _FORWARD_CACHE.get(key)
-    if cached is None:
-        try:
-            cached = spectral_forward(phantom, tg, sensors)
-        except GridCapError as exc:
-            raise GridCapError(
-                f"{exc}. A scenario's dx is the finer of the forward time step duration / "
-                f"forward_time_count ({tg.dt:.6g}) and the phantom raster spacing "
-                f"({phantom.spacing:.6g}), set by phantom.grid_size and half_extent, which "
-                "default to image_size and image_half_extent") from exc
-        if len(_FORWARD_CACHE) >= _FORWARD_CACHE_LIMIT:
-            _FORWARD_CACHE.pop(next(iter(_FORWARD_CACHE)))
-        _FORWARD_CACHE[key] = cached
-    return WaveData(cached.values.copy(), cached.time_grid, cached.sensors, cached.kind)
+
+
+def _forward_pressure(config: ScenarioConfig, phantom: Phantom) -> WaveData:
+    tg = config.forward_time_grid()
+    try:
+        p = _cached(_lossless_key(config, phantom), spectral_forward, phantom, tg,
+                    config.sensors(config.forward_sensor_count))
+    except GridCapError as exc:
+        raise GridCapError(
+            f"{exc}. A scenario's dx is the finer of the forward time step duration / "
+            f"forward_time_count ({tg.dt:.6g}) and the phantom raster spacing "
+            f"({phantom.spacing:.6g}), set by phantom.grid_size and half_extent, which "
+            "default to image_size and image_half_extent") from exc
+    return p.replace_values(p.values.copy())
+
+
+def _attenuate(config: ScenarioConfig, p: WaveData) -> WaveData:
+    system = build_system(config.model, config.forward_time_grid(),
+                          omega_max=config.omega_max, num_nodes=config.forward_quad_nodes)
+    return time_differentiate(apply_attenuation(system, time_integrate(p)))
 
 
 def simulate_scenario(config: ScenarioConfig):
     """Forward half of a scenario: attenuated pressure p^a on the forward
-    grids, with noise already applied.  Returns ``(pa, phantom, runtimes)``."""
+    grids, with noise already applied.  Returns ``(pa, phantom, runtimes)``.
+    A rerun that changes only the noise or the inversion takes the clean p^a
+    from the forward cache, so propagation and attenuation then take no time."""
     runtimes = {}
     with _stage("phantom", runtimes):
         phantom = config.build_phantom()
     with _stage("forward-propagation", runtimes):
-        p = _forward_pressure(config, phantom)
+        # M reads the law, the forward time grid (in the lossless key), the band and the nodes
+        clean_key = (_lossless_key(config, phantom), json.dumps(model_to_spec(config.model)),
+                     _band(config.forward_time_grid(), config.omega_max), config.forward_quad_nodes)
+        p = None if clean_key in _FORWARD_CACHE else _forward_pressure(config, phantom)
     with _stage("forward-attenuation", runtimes):
-        q = time_integrate(p)
-        system = build_system(config.model, config.forward_time_grid(),
-                              omega_max=config.omega_max, num_nodes=config.forward_quad_nodes)
-        qa = apply_attenuation(system, q)
-        pa = time_differentiate(qa)
+        clean = _cached(clean_key, _attenuate, config, p)
     with _stage("noise", runtimes):
-        pa = add_noise(pa, config.noise_level, config.seed)
+        pa = add_noise(clean, config.noise_level, config.seed)  # a new array at any level > 0
+        pa = pa.replace_values(pa.values.copy()) if pa is clean else pa
     return pa, phantom, runtimes
 
 

@@ -208,3 +208,26 @@ def sphere_mean_indicator(r0, center_dist, t, n_dirs=20000):
     x0 = np.array([center_dist, 0.0, 0.0])
     pts = x0[None, :] + t * dirs
     return float(np.mean(np.linalg.norm(pts, axis=1) <= r0))
+
+
+def band_limited_at(prop, t, points):
+    """The band-limited field of a ``SpectralPropagator`` at time ``t`` at any
+    points, by the direct sum over its half spectrum
+
+        p(s) = Re sum_kx e^{i kx s_x} sum_ky w_ky e^{i ky s_y} S(kx, ky) / N**2
+
+    with ``S = h_hat cos(|k| t)``, ``s`` measured from the grid's first node
+    and ``w`` 1 at ``ky`` = 0 and at Nyquist, 2 otherwise.  At grid nodes it
+    is the inverse transform; between them, the field the grid samples."""
+    n = prop.size
+    kx = 2.0 * np.pi * np.fft.fftfreq(n, prop.dx)
+    ky = 2.0 * np.pi * np.fft.rfftfreq(n, prop.dx)
+    w = np.full(ky.size, 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    s = np.asarray(points, dtype=float) - prop.axis[0]
+    spec = prop.h_hat * np.cos(prop.abs_k * t)
+    ex = np.exp(1j * np.outer(s[:, 0], kx))
+    ey = w * np.exp(1j * np.outer(s[:, 1], ky))
+    return np.real(((ex @ spec) * ey).sum(axis=1)) / n**2

@@ -64,3 +64,38 @@ def test_setup_probe_loads_the_benchmark_config():
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_noise_only_rerun_reads_as_the_sweep_expects(monkeypatch):
+    # the sweep workload fills the forward cache, then traces noise-only points and requires
+    # no propagation, a cache hit and r_1 quadrature (the inversion still builds its own M)
+    import dataclasses
+
+    from attenpat import experiments
+    from attenpat.models import NswModel
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+    import tracer
+
+    base = experiments.ScenarioConfig(
+        model=NswModel(0.11, 0.10), phantom={"kind": "disk"}, forward_time_count=60,
+        forward_sensor_count=64, inversion_time_count=50, inversion_sensor_count=64,
+        image_size=32)
+    experiments.simulate_scenario(base)
+    config = dataclasses.replace(base, noise_level=0.2, seed=3)
+    tr = tracer.Tracer()
+    try:
+        tracer.install(tr)  # patches module attributes: call through the modules
+        pa, phantom, runtimes = experiments.simulate_scenario(config)
+        experiments.reconstruct_scenario(config, pa, phantom, runtimes)
+    finally:
+        broken = tr.uninstall()
+    assert broken == []
+    layers = tracer.merge_layers([tracer.layer_metrics(tr.dump(), None)])
+    assert layers["experiments.propagations"] == 0
+    assert layers["experiments.forward_calls"] == 1
+    assert layers["attenuation.r1_evals"] > 0
+    for metric, rule in run.EXPECT["sweep-nsw-circle"].items():
+        value = layers[metric]
+        assert value > 0 if rule == ">0" else value == float(rule[1:]), (metric, rule, value)

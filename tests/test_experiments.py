@@ -15,6 +15,7 @@ from attenpat.experiments import (
     rel_l2_error,
     resample_data,
     run_scenario,
+    simulate_scenario,
 )
 from attenpat.models import ConstantModel, NswModel
 from attenpat.recon import ImageGrid, ReconImage
@@ -514,3 +515,94 @@ class TestRunScenario:
         crime = run_scenario(ScenarioConfig(model=NswModel(0.11, 0.10), seed=2, **shared))
         assert crime.data.values.shape == crime.data_forward.values.shape
         assert crime.errors["full"] >= 0.7 * honest.errors["full"]
+
+
+# forward grids small enough that a cache miss costs well under a second
+CACHED = dict(SMALL, forward_time_count=60, forward_sensor_count=64, inversion_time_count=50,
+              inversion_sensor_count=64, image_size=32)
+
+
+class TestForwardCache:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of the forward layers ``simulate_scenario`` runs, from an empty cache."""
+        from attenpat import experiments
+
+        calls = dict.fromkeys(("spectral_forward", "build_system", "apply_attenuation"), 0)
+        for name in calls:
+            def spy(*args, _name=name, _original=getattr(experiments, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, spy)
+        experiments._FORWARD_CACHE.clear()
+        return calls
+
+    @staticmethod
+    def simulate(**changes):
+        config = ScenarioConfig(**{"model": NswModel(0.11, 0.10), **CACHED, **changes})
+        return simulate_scenario(config)[0].values
+
+    @pytest.mark.parametrize("change", [
+        dict(noise_level=0.2), dict(seed=9), dict(inversion_time_count=40),
+        dict(quad_nodes=2**12), dict(regularization=1e-3),
+        dict(omega_max=300.0),  # the band stays capped at 0.95 pi / dt (29.8 here)
+    ], ids=lambda change: next(iter(change)))
+    def test_noise_and_inversion_changes_neither_propagate_nor_attenuate(self, calls, change):
+        clean = self.simulate()
+        again = self.simulate(**change)
+        assert calls == {"spectral_forward": 1, "build_system": 1, "apply_attenuation": 1}
+        if "noise_level" not in change:
+            assert np.array_equal(again, clean)
+
+    @pytest.mark.parametrize("change, propagations", [
+        (dict(model=NswModel(0.2, 0.10)), 1),
+        (dict(omega_max=20.0), 1),  # below the cap, so the band moves
+        (dict(forward_quad_nodes=2**12), 1),
+        (dict(forward_time_count=64), 2),
+        (dict(radius=1.8), 2),
+        (dict(phantom={"kind": "disk", "radius": 0.3}), 2),
+    ], ids=["law", "omega_max", "forward_quad_nodes", "forward_time_count", "geometry",
+            "phantom"])
+    def test_forward_changes_attenuate_again(self, calls, change, propagations):
+        from attenpat.experiments import _FORWARD_CACHE
+
+        self.simulate()
+        cached = self.simulate(**change)
+        assert calls == {"spectral_forward": propagations, "build_system": 2,
+                         "apply_attenuation": 2}
+        _FORWARD_CACHE.clear()
+        assert np.array_equal(cached, self.simulate(**change))
+
+    def test_laws_on_one_geometry_share_one_propagation(self, calls):
+        self.simulate(model=ConstantModel(0.45))
+        self.simulate()
+        assert calls == {"spectral_forward": 1, "build_system": 2, "apply_attenuation": 2}
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_hit_is_bitwise_a_run_after_clearing(self, calls, noise):
+        from attenpat.experiments import _FORWARD_CACHE
+
+        miss = self.simulate(noise_level=noise, seed=4)
+        hit = self.simulate(noise_level=noise, seed=4)
+        _FORWARD_CACHE.clear()
+        assert np.array_equal(hit, miss)
+        assert np.array_equal(hit, self.simulate(noise_level=noise, seed=4))
+        assert calls["build_system"] == 2
+
+    def test_callers_get_copies(self, calls):
+        from attenpat.experiments import _FORWARD_CACHE, _forward_pressure
+
+        pa = self.simulate()
+        expect_pa = pa.copy()
+        pa[:] = 7.0
+        assert np.array_equal(self.simulate(), expect_pa)
+        config = ScenarioConfig(model=NswModel(0.11, 0.10), **CACHED)
+        p = _forward_pressure(config, config.build_phantom())
+        expect_p = p.values.copy()
+        p.values[:] = 7.0
+        assert np.array_equal(_forward_pressure(config, config.build_phantom()).values, expect_p)
+        # a new law attenuates the cached lossless traces, which the write above did not reach
+        constant = self.simulate(model=ConstantModel(0.45))
+        assert calls["spectral_forward"] == 1
+        _FORWARD_CACHE.clear()
+        assert np.array_equal(constant, self.simulate(model=ConstantModel(0.45)))
