@@ -438,13 +438,13 @@ def cross_section(image: ReconImage, y: float = 0.0):
 
 # Forward data are deterministic in (phantom, geometry, grids), and p^a also in the law, its
 # band and quadrature, so a rerun that changes only the noise or the inversion reuses both.
-# One dict holds the lossless traces, shared by every law on a geometry, and each law's clean
-# p^a, at most _FORWARD_CACHE_LIMIT entries; callers get copies.
+# One dict, at most _FORWARD_CACHE_LIMIT entries, holds each phantom (shared, raster read-only),
+# the lossless traces, shared by every law on a geometry, and each law's clean p^a (copied out).
 _FORWARD_CACHE: dict = {}
 _FORWARD_CACHE_LIMIT = 8
 
 
-def _cached(key: tuple, compute, *args) -> WaveData:
+def _cached(key: tuple, compute, *args):
     if key not in _FORWARD_CACHE:
         _FORWARD_CACHE[key] = compute(*args)
         if len(_FORWARD_CACHE) > _FORWARD_CACHE_LIMIT:
@@ -486,11 +486,13 @@ def _attenuate(config: ScenarioConfig, p: WaveData) -> WaveData:
 def simulate_scenario(config: ScenarioConfig):
     """Forward half of a scenario: attenuated pressure p^a on the forward
     grids, with noise already applied.  Returns ``(pa, phantom, runtimes)``.
-    A rerun that changes only the noise or the inversion takes the clean p^a
-    from the forward cache, so propagation and attenuation then take no time."""
+    A rerun that changes only the noise or the inversion takes the phantom and
+    clean p^a from the forward cache: no raster, propagation or attenuation."""
     runtimes = {}
-    with _stage("phantom", runtimes):
-        phantom = config.build_phantom()
+    with _stage("phantom", runtimes):  # build_phantom reads the spec and the raster size
+        phantom = _cached(("phantom", json.dumps(config.phantom, sort_keys=True),
+                           *config._phantom_raster()), config.build_phantom)
+        phantom.values.flags.writeable = False
     with _stage("forward-propagation", runtimes):
         # M reads the law, the forward time grid (in the lossless key), the band and the nodes
         clean_key = (_lossless_key(config, phantom), json.dumps(model_to_spec(config.model)),

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attenuation import AttenuationSystem, invert_attenuation
-from .wavefield import SensorArray, WaveData
+from .wavefield import SensorArray, TimeGrid, WaveData
 
 __all__ = [
     "ImageGrid",
@@ -136,7 +136,8 @@ def _dt_ratio_traces(wave: WaveData) -> np.ndarray:
     g = wave.values / t
     dt = wave.time_grid.dt
     out = np.empty_like(g)
-    out[1:-1] = (g[2:] - g[:-2]) / (2.0 * dt)
+    np.subtract(g[2:], g[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dt
     out[0] = (g[1] - g[0]) / dt
     out[-1] = (g[-1] - g[-2]) / dt
     return out
@@ -205,6 +206,38 @@ def _mirror_pairs(sensors: SensorArray, grid: ImageGrid) -> tuple:
     return [(j,) for j in range(n)], axis
 
 
+# back_project's geometry-only work, at most _PLANS_LIMIT plans, oldest dropped first.  Keyed by
+# content, not id(): each sweep point builds new but equal sensors, and ids are recycled.
+_PLANS: dict = {}
+_PLANS_LIMIT = 8
+
+
+def _plan(sensors: SensorArray, tg: TimeGrid, grid: ImageGrid) -> tuple:
+    """The distance axis, its read-only weight table (None: no signal in time) and mirror pairs."""
+    key = (sensors.kind, tuple(sorted(sensors.params.items())), sensors.points.tobytes(),
+           sensors.normals.tobytes(), sensors.weights.tobytes(), tg,
+           tuple(grid.shape), grid.spacing, tuple(grid.origin))
+    if key in _PLANS:
+        return _PLANS[key]
+    pts = grid.points()
+    check_inside(sensors, pts)
+    if tg.count < 2:
+        raise ValueError(f"need at least two time samples to back-project, got {tg.count}")
+    pr = np.hypot(pts[:, 0], pts[:, 1]).max()
+    sr = np.linalg.norm(sensors.points, axis=1)
+    d_lo = max(float(sr.min() - pr), tg.dt)
+    d_hi = min(float(sr.max() + pr), tg.duration * (1.0 - 1e-9))
+    weights = None
+    if d_hi > d_lo:
+        n_d = int(max(np.ceil((d_hi - d_lo) / (tg.dt / 4.0)) + 1, 32))
+        weights = _inner_weight_matrix(tg.times, np.linspace(d_lo, d_hi, n_d))
+        weights.flags.writeable = False
+    _PLANS[key] = (d_lo, d_hi, weights, *_mirror_pairs(sensors, grid))
+    if len(_PLANS) > _PLANS_LIMIT:
+        _PLANS.pop(next(iter(_PLANS)))
+    return _PLANS[key]
+
+
 def back_project(waves: dict, grid: ImageGrid) -> dict:
     """Two-dimensional universal back-projection of pressure-like traces.
 
@@ -224,11 +257,11 @@ def back_project(waves: dict, grid: ImageGrid) -> dict:
     piecewise-linear interpolant of the time samples
     (:func:`_inner_weight_matrix`).
 
-    Returns each trace set's image under its tag.  The weight table and,
-    per mirror pair of sensors (:func:`_mirror_pairs`), the pixel distances,
-    table indices and interpolation weights are computed once and shared;
-    the partner's terms go to a mirror image added reversed along the mirror
-    axis.  The images do not interact.
+    Returns each trace set's image under its tag.  The weight table comes
+    from the geometry's cached :func:`_plan`; per mirror pair of sensors, the
+    pixel distances, table indices and interpolation weights are computed
+    once and shared, and the partner's terms go to a mirror image added
+    reversed along the mirror axis.  The images do not interact.
     """
     first = next(iter(waves.values()))
     sensors, tg = first.sensors, first.time_grid
@@ -239,24 +272,13 @@ def back_project(waves: dict, grid: ImageGrid) -> dict:
             raise ValueError("back-projected traces must share one time grid and one sensor array")
     if grid.ndim != 2:
         raise ValueError("2-D back-projection needs a 2-D image grid")
-    pts = grid.points()
-    check_inside(sensors, pts)
-    if tg.count < 2:
-        raise ValueError(f"need at least two time samples to back-project, got {tg.count}")
+    d_lo, d_hi, weights, pairs, axis = _plan(sensors, tg, grid)
 
     omega0 = 4.0 * np.pi if sensors.kind == "circle" else 2.0 * np.pi
-    dist_step = tg.dt / 4.0
     images = [np.zeros(grid.shape) for _ in waves]
-    pr = np.hypot(pts[:, 0], pts[:, 1]).max()
-    sr = np.linalg.norm(sensors.points, axis=1)
-    d_lo = max(float(sr.min() - pr), tg.dt)
-    d_hi = min(float(sr.max() + pr), tg.duration * (1.0 - 1e-9))
-    if d_hi > d_lo:  # else the recording window ends before any signal reaches a pixel
-        n_d = int(max(np.ceil((d_hi - d_lo) / dist_step) + 1, 32))
-        weights = _inner_weight_matrix(tg.times, np.linspace(d_lo, d_hi, n_d))
+    if weights is not None:
         # (n_sensors, n_d) per trace set: each sensor's profile is contiguous
         profiles = [_dt_ratio_traces(wave).T @ weights.T for wave in waves.values()]
-        pairs, axis = _mirror_pairs(sensors, grid)
         mirrors = [np.zeros(grid.shape) for _ in waves]
 
         # The grid is a tensor product, so per sensor the distance and n.(xi - x)
@@ -264,27 +286,33 @@ def back_project(waves: dict, grid: ImageGrid) -> dict:
         # np.interp's search into index arithmetic (same edges: phi[0] below
         # d_lo, phi[-1] at d_hi, zero beyond).
         ax, ay = grid.axes()
-        inv_step = (n_d - 1) / (d_hi - d_lo)
+        inv_step = (len(weights) - 1) / (d_hi - d_lo)
         for pair in pairs:
             j = pair[0]
             dx = sensors.points[j, 0] - ax
             dy = sensors.points[j, 1] - ay
-            d = np.sqrt(np.add.outer(dx * dx, dy * dy))
-            pos = np.maximum((d - d_lo) * inv_step, 0.0)
-            idx = np.minimum(pos.astype(np.intp), n_d - 2)
-            frac = pos - idx
             nx, ny = sensors.weights[j] * sensors.normals[j]
             w0 = np.add.outer(nx * dx, ny * dy)
-            w0[d > d_hi] = 0.0
-            w1 = w0 * frac  # phi is read at idx with w0 = ndot (1 - frac), at idx + 1 with w1
+            dx2, dy2 = dx * dx, dy * dy
+            pos = np.add.outer(dx2, dy2)
+            np.sqrt(pos, out=pos)
+            # + and sqrt round monotonically, so this is exactly the farthest pixel's distance
+            if np.sqrt(dx2.max() + dy2.max()) > d_hi:
+                w0[pos > d_hi] = 0.0
+            pos -= d_lo
+            pos *= inv_step
+            np.maximum(pos, 0.0, out=pos)
+            lo = np.minimum(np.floor(pos), len(weights) - 2.0)
+            idx = lo.astype(np.intp)
+            w1 = np.subtract(pos, lo, out=pos)  # frac, the position past idx
+            w1 *= w0  # phi is read at idx with w0 = ndot (1 - frac), at idx + 1 with w1
             w0 -= w1
-            idx1 = idx + 1
             # the partner sees this geometry on the grid reversed along `axis`
             for s, accs in zip(pair, (images, mirrors)):
                 for acc, phi in zip(accs, profiles):
                     val = phi[s].take(idx)
                     val *= w0
-                    hi = phi[s].take(idx1)
+                    hi = phi[s][1:].take(idx)
                     hi *= w1
                     val += hi
                     acc += val
@@ -293,7 +321,7 @@ def back_project(waves: dict, grid: ImageGrid) -> dict:
             img *= -4.0 / omega0
     return {
         method: ReconImage(img, grid, method,
-                           provenance={"geometry": sensors.kind, "dist_step": dist_step})
+                           provenance={"geometry": sensors.kind, "dist_step": tg.dt / 4.0})
         for method, img in zip(waves, images)
     }
 

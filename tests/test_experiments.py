@@ -606,3 +606,35 @@ class TestForwardCache:
         assert calls["spectral_forward"] == 1
         _FORWARD_CACHE.clear()
         assert np.array_equal(constant, self.simulate(model=ConstantModel(0.45)))
+
+    @pytest.mark.parametrize("change, rasters", [
+        (dict(noise_level=0.2, seed=3), 1),
+        (dict(radius=1.8), 1),  # the geometry is not a phantom input
+        (dict(phantom={"kind": "disk", "radius": 0.3}), 2),
+        (dict(phantom={"kind": "disk", "intensity": 2.0}), 2),
+        (dict(phantom={"kind": "shepp-logan"}), 2),
+        (dict(image_size=40), 2),
+        (dict(phantom={"kind": "disk", "grid_size": 40}), 2),
+        (dict(image_half_extent=0.9), 2),
+        (dict(phantom={"kind": "disk", "half_extent": 0.9}), 2),
+    ], ids=["noise", "geometry", "radius", "intensity", "kind", "image_size", "grid_size",
+            "image_half_extent", "half_extent"])
+    def test_phantom_rasterized_once_per_spec_and_raster(self, calls, monkeypatch, change,
+                                                         rasters):
+        from attenpat.experiments import _FORWARD_CACHE
+
+        built = []
+        build = ScenarioConfig.build_phantom
+        monkeypatch.setattr(ScenarioConfig, "build_phantom",
+                            lambda config: built.append(config) or build(config))
+        config = ScenarioConfig(**{"model": NswModel(0.11, 0.10), **CACHED})
+        first = simulate_scenario(config)[1]
+        changed = dataclasses.replace(config, **change)
+        pa, phantom, _ = simulate_scenario(changed)
+        assert len(built) == rasters
+        assert (phantom is first) == (rasters == 1)
+        assert not phantom.values.flags.writeable
+        _FORWARD_CACHE.clear()
+        fresh_pa, fresh, _ = simulate_scenario(changed)
+        assert np.array_equal(phantom.values, fresh.values)
+        assert np.array_equal(pa.values, fresh_pa.values)

@@ -200,6 +200,7 @@ class TestUbp2d:
             return table["weights"]
 
         monkeypatch.setattr(recon, "_inner_weight_matrix", spy)
+        monkeypatch.setattr(recon, "_PLANS", {})  # an earlier test may hold this geometry's plan
         tg = TimeGrid.from_duration(duration, 50)
         grid = ImageGrid.centered(24, 1.0)
         rng = np.random.default_rng(17)
@@ -265,6 +266,7 @@ class TestBackProject:
             return tables[-1][1]
 
         monkeypatch.setattr(recon, "_inner_weight_matrix", spy)
+        monkeypatch.setattr(recon, "_PLANS", {})  # an earlier test may hold this geometry's plan
         sizes = [len(pair) for pair in recon._mirror_pairs(sensors, grid)[0]]
         assert (sizes.count(2), sizes.count(1)) == (pairs, singles)
         tg = TimeGrid.from_duration(duration, 50)
@@ -317,6 +319,105 @@ class TestBackProject:
         for bad in (other_times, other_sensors):
             with pytest.raises(ValueError, match="one time grid and one sensor array"):
                 back_project({"good": good, "bad": bad}, ImageGrid.centered(20, 1.0))
+
+
+def _plan_geometry(kind="circle", count=48, radius=1.7, length=10.2, standoff=1.7, duration=6.0,
+                   times=50, size=24, half=1.0, shift=0.0):
+    sensors = (SensorArray.circle(radius, count) if kind == "circle"
+               else SensorArray.line(length, standoff, count))
+    grid = ImageGrid.centered(size, half)
+    grid = ImageGrid(grid.shape, grid.spacing, (grid.origin[0] + shift, grid.origin[1]))
+    return sensors, TimeGrid.from_duration(duration, times), grid
+
+
+def _random_images(sensors, tg, grid, seed=0):
+    rng = np.random.default_rng(seed)
+    waves = {kind: _wave(rng.standard_normal((tg.count, sensors.n)), tg, sensors, kind)
+             for kind in ("pressure", "attenuated")}
+    return {tag: img.values for tag, img in back_project(waves, grid).items()}
+
+
+class TestPlanCache:
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """The weight tables ``back_project`` builds, from an empty plan cache."""
+        import attenpat.recon as recon
+
+        tables = []
+        inner = recon._inner_weight_matrix
+
+        def spy(times, dist_nodes):
+            tables.append(inner(times, dist_nodes))
+            return tables[-1]
+
+        monkeypatch.setattr(recon, "_inner_weight_matrix", spy)
+        monkeypatch.setattr(recon, "_PLANS", {})
+        return tables
+
+    def test_equal_geometries_share_one_table(self, tables):
+        import attenpat.recon as recon
+
+        first = _random_images(*_plan_geometry())
+        again = _random_images(*_plan_geometry())  # new but equal objects
+        assert len(tables) == 1 and len(recon._PLANS) == 1
+        assert not tables[0].flags.writeable
+        for tag in first:
+            assert np.array_equal(first[tag], again[tag])
+
+    @pytest.mark.parametrize("base, change", [
+        ({}, dict(count=49)), ({}, dict(radius=1.8)),
+        (dict(kind="line", count=64), dict(standoff=1.8)),
+        (dict(kind="line", count=64), dict(length=10.0)),
+        ({}, dict(times=60)), ({}, dict(duration=5.0)),
+        ({}, dict(size=20)), ({}, dict(half=0.9)), ({}, dict(shift=0.05)),
+    ], ids=["count", "radius", "standoff", "length", "time-count", "duration", "image-size",
+            "half-extent", "origin"])
+    def test_any_geometry_change_builds_a_new_table(self, tables, base, change):
+        import attenpat.recon as recon
+
+        _random_images(*_plan_geometry(**base))
+        changed = _plan_geometry(**base, **change)
+        hit = _random_images(*changed)
+        assert len(tables) == 2
+        recon._PLANS.clear()
+        fresh = _random_images(*changed)
+        for tag in hit:
+            assert np.array_equal(hit[tag], fresh[tag])
+
+    @pytest.mark.parametrize("geometry", [
+        {}, dict(kind="line", count=64, duration=4.0), dict(shift=0.05),
+    ], ids=["circle", "line-cut-by-duration", "off-centre"])
+    def test_hit_is_bitwise_a_run_after_clearing(self, tables, geometry):
+        import attenpat.recon as recon
+
+        miss = _random_images(*_plan_geometry(**geometry), seed=3)
+        hit = _random_images(*_plan_geometry(**geometry), seed=3)
+        recon._PLANS.clear()
+        cleared = _random_images(*_plan_geometry(**geometry), seed=3)
+        assert len(tables) == 2
+        for tag in miss:
+            assert np.array_equal(hit[tag], miss[tag])
+            assert np.array_equal(hit[tag], cleared[tag])
+
+    def test_bounded_and_oldest_dropped_first(self, tables):
+        import attenpat.recon as recon
+
+        limit = recon._PLANS_LIMIT
+        for i in range(limit + 3):
+            _random_images(*_plan_geometry(count=16 + i, size=8))
+            assert len(recon._PLANS) <= limit
+        assert len(tables) == limit + 3
+        _random_images(*_plan_geometry(count=16 + limit + 2, size=8))  # the newest: kept
+        assert len(tables) == limit + 3
+        _random_images(*_plan_geometry(count=16, size=8))  # the oldest: dropped
+        assert len(tables) == limit + 4 and len(recon._PLANS) == limit
+
+    def test_rejected_geometry_is_not_kept(self, tables):
+        import attenpat.recon as recon
+
+        with pytest.raises(ValueError, match="outside"):
+            _random_images(*_plan_geometry(half=2.0))
+        assert recon._PLANS == {}
 
 
 class TestUbp3d:
