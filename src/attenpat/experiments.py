@@ -21,13 +21,16 @@ from .attenuation import DEFAULT_OMEGA_MAX, DEFAULT_QUAD_NODES, apply_attenuatio
 from .attenuation import _band  # the effective band, which M reads
 from .models import (
     AttenuationModel,
+    ConfigError,
     ConstantModel,
     finite_int,
     finite_real,
     k_infinity,
+    keyed,
     model_from_spec,
     model_to_spec,
     positive_real,
+    read_kind,
 )
 from .recon import (
     ImageGrid,
@@ -69,10 +72,6 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
-    """Malformed scenario configuration; the message names the field."""
-
-
 class ScenarioStageError(RuntimeError):
     """A scenario stage failed; carries the stage name and the cause."""
 
@@ -93,16 +92,6 @@ def _stage(name: str, runtimes: dict):
     except Exception as exc:
         raise ScenarioStageError(name, exc) from exc
     runtimes[name] = time.perf_counter() - t0
-
-
-def _convert(key: str, convert, value):
-    """``convert(value)``, a failure raised as a ``ConfigError`` naming ``key``."""
-    try:
-        return convert(value)
-    except ConfigError:  # from a nested converter, which names its own key
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _optional(convert):
@@ -127,12 +116,7 @@ _KIND_DEFAULTS = {"circle": {"radius": 1.7, "duration": 6.0},
 
 
 def _model(value) -> AttenuationModel:
-    if isinstance(value, AttenuationModel):
-        return value
-    try:
-        return model_from_spec(value)
-    except ValueError as exc:  # model_from_spec names the model key itself
-        raise ConfigError(str(exc)) from exc
+    return value if isinstance(value, AttenuationModel) else model_from_spec(value)
 
 
 def _pair(value, convert) -> tuple:
@@ -157,31 +141,22 @@ def _ellipses(items) -> list:
     return out
 
 
-# phantom kind -> converter of each key it reads besides kind, grid_size and half_extent
+# phantom kind -> converter of each key it reads; all but an ellipses' items are optional
+_RASTER_KEYS = {"grid_size": finite_int, "half_extent": positive_real}
 _PHANTOM_KEYS = {
-    "shepp-logan": {},
-    "disk": {"radius": positive_real, "intensity": finite_real},
-    "ellipses": {"items": _ellipses},
+    "shepp-logan": _RASTER_KEYS,
+    "disk": {**_RASTER_KEYS, "radius": positive_real, "intensity": finite_real},
+    "ellipses": {**_RASTER_KEYS, "items": _ellipses},
 }
 
 
 def _phantom(spec) -> dict:
     """The phantom mapping with its kind (and a disk's radius and intensity)
     filled in and every value typed."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"expected a mapping, got {spec!r}")
-    kind = spec.get("kind", "shepp-logan")
-    if not isinstance(kind, str) or kind not in _PHANTOM_KEYS:
-        raise ConfigError(f"phantom.kind: unknown value {kind!r}")
-    keys = dict(kind=str, grid_size=finite_int, half_extent=positive_real, **_PHANTOM_KEYS[kind])
-    for key in spec:
-        if key not in keys:
-            raise ConfigError(f"phantom.{key}: unknown field for kind {kind!r}")
-    if kind == "ellipses" and "items" not in spec:
-        raise ConfigError("phantom.items: missing for kind 'ellipses'")
-    typed = {key: _convert(f"phantom.{key}", keys[key], value) for key, value in spec.items()}
+    kind, values = read_kind("phantom", spec, _PHANTOM_KEYS, default="shepp-logan",
+                             optional=("grid_size", "half_extent", "radius", "intensity"))
     defaults = {"radius": 0.4, "intensity": 1.0} if kind == "disk" else {}
-    return {**defaults, **typed, "kind": kind}
+    return {**defaults, **values, "kind": kind}
 
 
 def _regularization(value) -> float | None:
@@ -189,15 +164,8 @@ def _regularization(value) -> float | None:
     written ``{"kind": "tikhonov", "lam": ...}`` or bare."""
     if value is None or value == "none":
         return None
-    if isinstance(value, dict):
-        kind = value.get("kind")
-        if kind != "tikhonov":
-            raise ConfigError(f"regularization.kind: expected 'tikhonov', got {kind!r}")
-        for key in value:
-            if key not in ("kind", "lam"):
-                raise ConfigError(f"regularization.{key}: unknown config field")
-        value = value.get("lam")
-    return _convert("regularization.lam", positive_real, value)
+    spec = value if isinstance(value, dict) else {"kind": "tikhonov", "lam": value}
+    return read_kind("regularization", spec, {"tikhonov": {"lam": positive_real}})[1]["lam"]
 
 
 def _field(convert, key: str, dump=lambda value: value, **default):
@@ -241,7 +209,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for f in fields(self):  # geometry precedes the fields whose defaults depend on it
             key = f.metadata["key"]
-            value = _convert(key, f.metadata["convert"], getattr(self, f.name))
+            value = keyed(key, f.metadata["convert"], getattr(self, f.name))
             own = _own_key(key, self.geometry)
             if value is not None and not own:
                 raise ConfigError(f"{key}: unknown field for kind {self.geometry!r}")
@@ -261,8 +229,8 @@ class ScenarioConfig:
             raise ConfigError(f"phantom.radius: must be < the half extent {half!r}, "
                               f"got {spec['radius']!r}")
         # the image grid strictly inside the inversion geometry, as back_project needs
-        sensors = _convert("geometry.count", self.sensors, self.inversion_sensor_count)
-        _convert("image_half_extent", partial(check_inside, sensors), self.image_grid().points())
+        sensors = keyed("geometry.count", self.sensors, self.inversion_sensor_count)
+        keyed("image_half_extent", partial(check_inside, sensors), self.image_grid().points())
 
     # --- derived pieces -------------------------------------------------
     def forward_time_grid(self) -> TimeGrid:

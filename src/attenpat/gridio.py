@@ -129,6 +129,9 @@ def load_wave(path) -> WaveData:
         tg = TimeGrid(dt=keyed("dt", finite_real, meta.get("dt")),
                       count=keyed("time_count", finite_int, meta.get("time_count")))
         sensors = make_sensors(meta.get("geometry"))
+        for key, header in (("kind", data.kind), ("dt", data.spacing[0])):
+            if meta.get(key) != header:
+                raise ValueError(f"{key}: {meta.get(key)!r} does not match the header's {header!r}")
     except ValueError as exc:
         raise ValueError(f"{_sidecar(path)}: {exc}") from exc
     return WaveData(data.values, tg, sensors, kind=data.kind)

@@ -30,6 +30,7 @@ __all__ = [
     "TabulatedWeakModel",
     "AttenuationModel",
     "UnsupportedModelError",
+    "ConfigError",
     "ValidationReport",
     "eval_kappa",
     "k_infinity",
@@ -47,6 +48,10 @@ __all__ = [
 
 class UnsupportedModelError(ValueError):
     """Raised when an operation requires a weak attenuation law."""
+
+
+class ConfigError(ValueError):
+    """Malformed configuration; the message names the field."""
 
 
 def finite_real(value, least: float = -math.inf) -> float:
@@ -75,11 +80,35 @@ def positive_real(value) -> float:
 
 
 def keyed(key: str, convert, *args):
-    """``convert(*args)``, a TypeError or ValueError raised as a ValueError naming ``key``."""
+    """``convert(*args)``, a failure raised as a ``ConfigError`` naming ``key``."""
     try:
         return convert(*args)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{key}: {exc}") from exc
+    except ConfigError:  # from a nested converter, which names its own key
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def read_kind(section: str, spec, kinds: dict, default=None, optional=()) -> tuple:
+    """The kind of a ``{"kind": ..., key: value}`` mapping and its other values,
+    each converted by ``kinds[kind][key]`` under the name ``section.key``.
+    A missing kind is ``default``; every key of the kind but ``optional`` ones is required."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{section}: expected a mapping, got {spec!r}")
+    kind = spec.get("kind", default)
+    if kind is None:
+        raise ConfigError(f"{section}.kind: missing")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{section}.kind: unknown value {kind!r}")
+    keys = kinds[kind]
+    for key in spec:
+        if key != "kind" and key not in keys:
+            raise ConfigError(f"{section}.{key}: unknown field for kind {kind!r}")
+    for key in keys:
+        if key not in spec and key not in optional:
+            raise ConfigError(f"{section}.{key}: missing for kind {kind!r}")
+    return kind, {key: keyed(f"{section}.{key}", keys[key], value)
+                  for key, value in spec.items() if key != "kind"}
 
 
 @dataclass(frozen=True)
@@ -350,72 +379,52 @@ def validate_model(
     )
 
 
-def model_tag(model: AttenuationModel) -> str:
-    """Canonical short string identifying a model and its parameters."""
-    if isinstance(model, ConstantModel):
-        return f"constant(k_inf={model.k_inf:.17g})"
-    if isinstance(model, NswModel):
-        return f"nsw(tau={model.tau:.17g},tau_tilde={model.tau_tilde:.17g})"
-    if isinstance(model, PowerLawModel):
-        return f"power-law(amplitude={model.amplitude:.17g},exponent={model.exponent:.17g})"
-    if isinstance(model, TabulatedWeakModel):
-        digest = hashlib.sha256(model.omega.tobytes() + model.kstar.tobytes()).hexdigest()
-        return f"tabulated(k_inf={model.k_inf:.17g},n={model.omega.size},h={digest[:8]})"
-    raise TypeError(f"not an attenuation model: {model!r}")
-
-
 def _table(values) -> np.ndarray:
     return np.array([finite_real(v) for v in values], dtype=float)
 
 
+# model kind -> its class and the converter of each config key
+_MODELS = {
+    "constant": (ConstantModel, {"k_inf": finite_real}),
+    "nsw": (NswModel, {"tau": finite_real, "tau_tilde": finite_real}),
+    "power-law": (PowerLawModel, {"amplitude": finite_real, "exponent": finite_real}),
+    "tabulated": (TabulatedWeakModel, {"omega": _table, "kstar_real": _table,
+                                       "kstar_imag": _table, "k_inf": finite_real}),
+}
+
+
+def _kind(model: AttenuationModel) -> str:
+    for kind, (cls, _) in _MODELS.items():
+        if isinstance(model, cls):
+            return kind
+    raise TypeError(f"not an attenuation model: {model!r}")
+
+
+def model_tag(model: AttenuationModel) -> str:
+    """Canonical short string identifying a model and its parameters."""
+    kind = _kind(model)
+    if kind == "tabulated":
+        digest = hashlib.sha256(model.omega.tobytes() + model.kstar.tobytes()).hexdigest()
+        return f"tabulated(k_inf={model.k_inf:.17g},n={model.omega.size},h={digest[:8]})"
+    return f"{kind}({','.join(f'{key}={getattr(model, key):.17g}' for key in _MODELS[kind][1])})"
+
+
 def model_from_spec(spec: dict) -> AttenuationModel:
     """Build a model from a config mapping, e.g. ``{"kind": "nsw", "tau": 0.11, ...}``."""
-    if not isinstance(spec, dict):
-        raise ValueError("model: expected a mapping with a 'kind' field")
-    kind = spec.get("kind")
-    if kind is None:
-        raise ValueError("model.kind: missing")
-    known = {
-        "constant": (ConstantModel, ("k_inf",)),
-        "nsw": (NswModel, ("tau", "tau_tilde")),
-        "power-law": (PowerLawModel, ("amplitude", "exponent")),
-        "tabulated": (TabulatedWeakModel, ("omega", "kstar_real", "kstar_imag", "k_inf")),
-    }
-    if kind not in known:
-        raise ValueError(f"model.kind: unknown value {kind!r}")
-    cls, fields = known[kind]
-    missing = [f for f in fields if f not in spec]
-    if missing:
-        raise ValueError(f"model.{missing[0]}: missing for kind {kind!r}")
-    unknown = [k for k in spec if k != "kind" and k not in fields]
-    if unknown:
-        raise ValueError(f"model.{unknown[0]}: unknown field for kind {kind!r}")
-    tables = ("omega", "kstar_real", "kstar_imag")
-    numbers = {key: keyed(f"model.{key}", _table if key in tables else finite_real, spec[key])
-               for key in fields}
+    kind, values = read_kind("model", spec, {kind: keys for kind, (_, keys) in _MODELS.items()})
+    if kind == "tabulated":
+        values["kstar"] = values.pop("kstar_real") + 1j * values.pop("kstar_imag")
     try:
-        if kind == "tabulated":
-            kstar = numbers.pop("kstar_real") + 1j * numbers.pop("kstar_imag")
-            return TabulatedWeakModel(kstar=kstar, **numbers)
-        return cls(**numbers)
+        return _MODELS[kind][0](**values)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"model: {exc}") from exc
+        raise ConfigError(f"model: {exc}") from exc
 
 
 def model_to_spec(model: AttenuationModel) -> dict:
     """Inverse of :func:`model_from_spec` (tabulated arrays become lists)."""
-    if isinstance(model, ConstantModel):
-        return {"kind": "constant", "k_inf": model.k_inf}
-    if isinstance(model, NswModel):
-        return {"kind": "nsw", "tau": model.tau, "tau_tilde": model.tau_tilde}
-    if isinstance(model, PowerLawModel):
-        return {"kind": "power-law", "amplitude": model.amplitude, "exponent": model.exponent}
-    if isinstance(model, TabulatedWeakModel):
-        return {
-            "kind": "tabulated",
-            "omega": model.omega.tolist(),
-            "kstar_real": model.kstar.real.tolist(),
-            "kstar_imag": model.kstar.imag.tolist(),
-            "k_inf": model.k_inf,
-        }
-    raise TypeError(f"not an attenuation model: {model!r}")
+    kind = _kind(model)
+    if kind == "tabulated":
+        return {"kind": kind, "omega": model.omega.tolist(),
+                "kstar_real": model.kstar.real.tolist(),
+                "kstar_imag": model.kstar.imag.tolist(), "k_inf": model.k_inf}
+    return {"kind": kind, **{key: getattr(model, key) for key in _MODELS[kind][1]}}

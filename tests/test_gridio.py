@@ -93,6 +93,9 @@ class TestWaveAndImageFiles:
              "geometry.standoff"),
             ("geometry", {"kind": "line", "length": 10.2, "standoff": 1.7, "count": 128,
                           "radius": 1.7}, "geometry.radius"),
+            # a value that disagrees with the GridFile header ("attenuated", dt 0.05)
+            ("kind", "pressure", "kind"),
+            ("dt", 0.2, "dt"),
         ],
     )
     def test_sidecar_values_are_strict(self, tmp_path, key, value, named):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+import attenpat
+from attenpat import experiments
+from attenpat.experiments import ScenarioConfig
 from attenpat.models import (
+    ConfigError,
     ConstantModel,
     NswModel,
     PowerLawModel,
@@ -15,6 +19,7 @@ from attenpat.models import (
     model_tag,
     validate_model,
 )
+from attenpat.wavefield import make_sensors
 
 CONSTANT = ConstantModel(k_inf=0.45)
 NSW = NswModel(tau=0.11, tau_tilde=0.10)
@@ -219,6 +224,61 @@ class TestModelTag:
         other = TabulatedWeakModel(omega=TABULATED.omega, kstar=TABULATED.kstar * 1.01,
                                    k_inf=TABULATED.k_inf)
         assert model_tag(other) != model_tag(TABULATED)
+
+
+    @pytest.mark.parametrize("model, tag", [
+        (CONSTANT, "constant(k_inf=0.45000000000000001)"),
+        (NSW, "nsw(tau=0.11,tau_tilde=0.10000000000000001)"),
+        (POWER, "power-law(amplitude=0.0050000000000000001,exponent=2)"),
+        (TabulatedWeakModel(omega=np.array([-2.0, -1.0, 0.0, 1.0, 2.0]),
+                            kstar=np.array([0.0, 0.1 - 0.2j, 0.0, 0.1 + 0.2j, 0.0]), k_inf=0.3),
+         "tabulated(k_inf=0.29999999999999999,n=5,h=5876f313)"),
+    ], ids=["constant", "nsw", "power-law", "tabulated"])
+    def test_tag_strings_are_pinned(self, model, tag):
+        # the tag feeds AttenuationSystem.fingerprint and the image sidecars
+        assert model_tag(model) == tag
+
+
+class TestReadKind:
+    """The one reader of the kind-tagged mappings, through each section that uses it."""
+
+    @staticmethod
+    def read(section, spec):
+        if section == "model":
+            return model_from_spec(spec)
+        if section == "geometry":  # a wave sidecar's sensor geometry
+            return make_sensors(spec)
+        return ScenarioConfig.from_dict({section: spec})
+
+    @pytest.mark.parametrize("section, spec, message", [
+        ("model", {"kind": "szabo"}, "model.kind: unknown value 'szabo'"),
+        ("model", {"kind": "constant", "k_inf": 0.45, "tau": 0.1},
+         "model.tau: unknown field for kind 'constant'"),
+        ("model", {"kind": "nsw", "tau_tilde": 0.1}, "model.tau: missing for kind 'nsw'"),
+        ("model", {"tau": 0.11, "tau_tilde": 0.1}, "model.kind: missing"),
+        ("phantom", {"kind": "star"}, "phantom.kind: unknown value 'star'"),
+        ("phantom", {"kind": "shepp-logan", "radius": 0.3},
+         "phantom.radius: unknown field for kind 'shepp-logan'"),
+        ("phantom", {"kind": "ellipses"}, "phantom.items: missing for kind 'ellipses'"),
+        ("geometry", {"kind": "helix", "count": 8}, "geometry.kind: unknown value 'helix'"),
+        ("geometry", {"kind": "circle", "radius": 1.7, "count": 8, "standoff": 1.7},
+         "geometry.standoff: unknown field for kind 'circle'"),
+        ("geometry", {"kind": "circle", "radius": 1.7},
+         "geometry.count: missing for kind 'circle'"),
+        ("regularization", {"kind": "ridge", "lam": 1e-3},
+         "regularization.kind: unknown value 'ridge'"),
+        ("regularization", {"kind": "tikhonov", "lam": 1e-3, "lamda": 1e-3},
+         "regularization.lamda: unknown field for kind 'tikhonov'"),
+        ("regularization", {"kind": "tikhonov"},
+         "regularization.lam: missing for kind 'tikhonov'"),
+    ])
+    def test_messages(self, section, spec, message):
+        with pytest.raises(ConfigError) as info:
+            self.read(section, spec)
+        assert str(info.value) == message
+
+    def test_one_config_error_class(self):
+        assert attenpat.ConfigError is attenpat.models.ConfigError is experiments.ConfigError
 
 
 class TestSpecRoundTrip:
