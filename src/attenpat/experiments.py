@@ -228,6 +228,12 @@ class ScenarioConfig:
         if spec["kind"] == "disk" and spec["radius"] >= half:
             raise ConfigError(f"phantom.radius: must be < the half extent {half!r}, "
                               f"got {spec['radius']!r}")
+        # resample_data coarsens the forward traces onto the inversion grids, never refines
+        for key, count, forward in (
+                ("inversion_time_count", self.inversion_time_count, "forward_time_count"),
+                ("geometry.count", self.inversion_sensor_count, "forward_sensor_count")):
+            if count > getattr(self, forward):
+                raise ConfigError(f"{key}: {count} exceeds {forward} {getattr(self, forward)}")
         # the image grid strictly inside the inversion geometry, as back_project needs
         sensors = keyed("geometry.count", self.sensors, self.inversion_sensor_count)
         keyed("image_half_extent", partial(check_inside, sensors), self.image_grid().points())
@@ -342,10 +348,10 @@ def resample_data(wave: WaveData, time_grid: TimeGrid, sensors: SensorArray) -> 
     src_t = wave.time_grid.times
     dst_t = time_grid.times
     tol = 1e-9 * wave.time_grid.duration
-    if dst_t[-1] > src_t[-1] + tol or dst_t[0] < src_t[0] - tol:
-        raise ValueError("resampling would extrapolate in time")
     if time_grid.dt < wave.time_grid.dt * (1.0 - 1e-9):
         raise ValueError("target time grid is finer than the source")
+    if dst_t[-1] > src_t[-1] + tol or dst_t[0] < src_t[0] - tol:
+        raise ValueError("resampling would extrapolate in time")
     if sensors.kind != wave.sensors.kind:
         raise ValueError(
             f"geometry mismatch: {wave.sensors.kind!r} vs {sensors.kind!r}"

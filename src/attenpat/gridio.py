@@ -129,9 +129,12 @@ def load_wave(path) -> WaveData:
         tg = TimeGrid(dt=keyed("dt", finite_real, meta.get("dt")),
                       count=keyed("time_count", finite_int, meta.get("time_count")))
         sensors = make_sensors(meta.get("geometry"))
-        for key, header in (("kind", data.kind), ("dt", data.spacing[0])):
-            if meta.get(key) != header:
-                raise ValueError(f"{key}: {meta.get(key)!r} does not match the header's {header!r}")
+        for key, value, header in (("kind", meta.get("kind"), data.kind),
+                                   ("dt", meta.get("dt"), data.spacing[0]),
+                                   *zip(("time_count", "geometry.count"), (tg.count, sensors.n),
+                                        data.values.shape)):
+            if value != header:
+                raise ValueError(f"{key}: {value!r} does not match the header's {header!r}")
     except ValueError as exc:
         raise ValueError(f"{_sidecar(path)}: {exc}") from exc
     return WaveData(data.values, tg, sensors, kind=data.kind)

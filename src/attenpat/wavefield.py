@@ -508,7 +508,9 @@ def spectral_forward(
     worker threads that each write their own rows of the traces.  The grids
     are built here, largest first and only once a worker is free, so a grid
     over the cap fails before any step and no more grids than workers are
-    alive.  A worker's exception is raised here after every worker stopped.
+    alive; an empty segment builds none.  Grids built in the workers would
+    come from glibc's per-thread arenas, which cannot reuse what this thread
+    freed.  A worker's exception is raised here after every worker stopped.
     """
     from concurrent.futures import ThreadPoolExecutor  # off the CLI's import path
 

@@ -118,12 +118,13 @@ class TestResample:
         assert np.max(np.abs(out.values - expect)) <= 2e-3  # linear-interp error only
 
     def test_refining_rejected(self):
+        # a finer grid's first sample precedes the source's, yet the finer grid is the fault
         tg = TimeGrid.from_duration(6.0, 100)
         sensors = SensorArray.circle(1.7, 64)
         w = _wave(np.zeros((100, 64)), tg, sensors)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="target time grid is finer than the source"):
             resample_data(w, TimeGrid.from_duration(6.0, 150), sensors)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="target sensor array is finer than the source"):
             resample_data(w, tg, SensorArray.circle(1.7, 96))
 
     def test_time_extrapolation_rejected(self):
@@ -357,6 +358,10 @@ class TestScenarioConfig:
             ({"forward_time_count": -5}, "forward_time_count"),
             ({"geometry": {"kind": "circle", "count": 0}}, "geometry.count"),
             ({"quad_nodes": 0}, "quad_nodes"),
+            # an inversion grid finer than the forward one, which resampling cannot refine
+            ({"forward_time_count": 60, "inversion_time_count": 80}, "inversion_time_count"),
+            ({"forward_sensor_count": 64, "geometry": {"kind": "circle", "count": 128}},
+             "geometry.count"),
         ],
     )
     def test_bad_integer_or_boolean_named(self, raw, field):
@@ -463,7 +468,7 @@ class TestRunScenario:
         from attenpat.experiments import _FORWARD_CACHE, simulate_scenario
 
         small = dict(SMALL, forward_time_count=60, forward_sensor_count=64,
-                     inversion_sensor_count=64)
+                     inversion_time_count=60, inversion_sensor_count=64)
         coarse = ScenarioConfig(model=ConstantModel(0.45), **dict(small, image_size=32))
         fine = ScenarioConfig(model=ConstantModel(0.45), **dict(small, image_size=96))
         _FORWARD_CACHE.clear()

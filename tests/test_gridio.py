@@ -96,6 +96,9 @@ class TestWaveAndImageFiles:
             # a value that disagrees with the GridFile header ("attenuated", dt 0.05)
             ("kind", "pressure", "kind"),
             ("dt", 0.2, "dt"),
+            # a count that disagrees with the payload's (120, 128) shape
+            ("time_count", 121, "time_count"),
+            ("geometry", {"kind": "circle", "radius": 1.7, "count": 127}, "geometry.count"),
         ],
     )
     def test_sidecar_values_are_strict(self, tmp_path, key, value, named):

@@ -312,6 +312,26 @@ class TestSpectralPropagator:
         alive = np.cumsum(events)
         assert len(events) == 2 * SEGMENTS and alive.max() <= 2 and alive[-1] == 0
 
+    def test_empty_segments_build_no_grid(self, monkeypatch):
+        # 2 samples in 4 segments: bounds [0, 0, 1, 1, 2], so only segments 2 and 4 step
+        events = []
+        init = SpectralPropagator.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            events.append(1)
+            weakref.finalize(self, events.append, -1)
+
+        monkeypatch.setattr(SpectralPropagator, "__init__", counted)
+        ph, tg = make_shepp_logan(32), TimeGrid.from_duration(6.0, 2)
+        sensors = SensorArray.circle(1.7, 64)
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: SEGMENTS)
+        wave = spectral_forward(ph, tg, sensors, target_dx=0.05)
+        assert events.count(1) == 2 and sum(events) == 0
+        monkeypatch.setattr(wavefield, "_cpu_count", lambda: 1)
+        serial = spectral_forward(ph, tg, sensors, target_dx=0.05)
+        assert np.array_equal(wave.values, serial.values)
+
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         # only the last segment's worker fails; the others run to their end
         step = SpectralPropagator.pressure_field
