@@ -32,6 +32,7 @@ from .models import (
     positive_real,
     read_kind,
 )
+from . import recon
 from .recon import (
     ImageGrid,
     ReconImage,
@@ -114,6 +115,8 @@ def _own_key(key: str, kind: str) -> bool:
 _KIND_DEFAULTS = {"circle": {"radius": 1.7, "duration": 6.0},
                   "line": {"line_length": 10.2, "standoff": 1.7, "duration": 8.0}}
 
+_time_count = partial(finite_int, least=2)  # to differentiate and to back-project
+
 
 def _model(value) -> AttenuationModel:
     return value if isinstance(value, AttenuationModel) else model_from_spec(value)
@@ -188,9 +191,9 @@ class ScenarioConfig:
     line_length: float | None = _field(_optional(positive_real), "geometry.length", default=None)
     standoff: float | None = _field(_optional(positive_real), "geometry.standoff", default=None)
     duration: float | None = _field(_optional(positive_real), "duration", default=None)
-    forward_time_count: int = _field(finite_int, "forward_time_count", default=500)
+    forward_time_count: int = _field(_time_count, "forward_time_count", default=500)
     forward_sensor_count: int = _field(finite_int, "forward_sensor_count", default=896)
-    inversion_time_count: int = _field(finite_int, "inversion_time_count", default=443)
+    inversion_time_count: int = _field(_time_count, "inversion_time_count", default=443)
     inversion_sensor_count: int = _field(finite_int, "geometry.count", default=849)
     image_size: int = _field(finite_int, "image_size", default=128)
     image_half_extent: float = _field(positive_real, "image_half_extent", default=1.0)
@@ -412,18 +415,9 @@ def cross_section(image: ReconImage, y: float = 0.0):
 
 # Forward data are deterministic in (phantom, geometry, grids), and p^a also in the law, its
 # band and quadrature, so a rerun that changes only the noise or the inversion reuses both.
-# One dict, at most _FORWARD_CACHE_LIMIT entries, holds each phantom (shared, raster read-only),
-# the lossless traces, shared by every law on a geometry, and each law's clean p^a (copied out).
-_FORWARD_CACHE: dict = {}
-_FORWARD_CACHE_LIMIT = 8
-
-
-def _cached(key: tuple, compute, *args):
-    if key not in _FORWARD_CACHE:
-        _FORWARD_CACHE[key] = compute(*args)
-        if len(_FORWARD_CACHE) > _FORWARD_CACHE_LIMIT:
-            _FORWARD_CACHE.pop(next(iter(_FORWARD_CACHE)))
-    return _FORWARD_CACHE[key]
+# recon's one bounded cache, read through the module so a swapped dict serves both layers,
+# holds each phantom (shared, raster read-only), the lossless traces, shared by every law on a
+# geometry, each law's clean p^a (copied out) and the ground truth (shared, read-only).
 
 
 def _lossless_key(config: ScenarioConfig, phantom: Phantom) -> tuple:
@@ -431,7 +425,7 @@ def _lossless_key(config: ScenarioConfig, phantom: Phantom) -> tuple:
     # every input spectral_forward reads: the raster geometry sets the default dx and the
     # support box (of the ellipses, if any) the grid sides, the ellipses or values the field
     return (
-        phantom.values.shape, phantom.spacing, phantom.origin,
+        "lossless", phantom.values.shape, phantom.spacing, phantom.origin,
         phantom.ellipses if phantom.ellipses is not None else phantom.values.tobytes(),
         sensors.kind, sensors.points.tobytes(), config.forward_time_grid(),
     )
@@ -440,8 +434,8 @@ def _lossless_key(config: ScenarioConfig, phantom: Phantom) -> tuple:
 def _forward_pressure(config: ScenarioConfig, phantom: Phantom) -> WaveData:
     tg = config.forward_time_grid()
     try:
-        p = _cached(_lossless_key(config, phantom), spectral_forward, phantom, tg,
-                    config.sensors(config.forward_sensor_count))
+        p = recon._cached(_lossless_key(config, phantom), spectral_forward, phantom, tg,
+                          config.sensors(config.forward_sensor_count))
     except GridCapError as exc:
         raise GridCapError(
             f"{exc}. A scenario's dx is the finer of the forward time step duration / "
@@ -464,16 +458,17 @@ def simulate_scenario(config: ScenarioConfig):
     clean p^a from the forward cache: no raster, propagation or attenuation."""
     runtimes = {}
     with _stage("phantom", runtimes):  # build_phantom reads the spec and the raster size
-        phantom = _cached(("phantom", json.dumps(config.phantom, sort_keys=True),
-                           *config._phantom_raster()), config.build_phantom)
+        phantom = recon._cached(("phantom", json.dumps(config.phantom, sort_keys=True),
+                                 *config._phantom_raster()), config.build_phantom)
         phantom.values.flags.writeable = False
     with _stage("forward-propagation", runtimes):
         # M reads the law, the forward time grid (in the lossless key), the band and the nodes
-        clean_key = (_lossless_key(config, phantom), json.dumps(model_to_spec(config.model)),
+        clean_key = ("clean", _lossless_key(config, phantom),
+                     json.dumps(model_to_spec(config.model)),
                      _band(config.forward_time_grid(), config.omega_max), config.forward_quad_nodes)
-        p = None if clean_key in _FORWARD_CACHE else _forward_pressure(config, phantom)
+        p = None if clean_key in recon._CACHE else _forward_pressure(config, phantom)
     with _stage("forward-attenuation", runtimes):
-        clean = _cached(clean_key, _attenuate, config, p)
+        clean = recon._cached(clean_key, _attenuate, config, p)
     with _stage("noise", runtimes):
         pa = add_noise(clean, config.noise_level, config.seed)  # a new array at any level > 0
         pa = pa.replace_values(pa.values.copy()) if pa is clean else pa
@@ -492,12 +487,13 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
     grid = config.image_grid()
 
     with _stage("ground-truth", runtimes):
-        axes = grid.axes()
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        truth = ReconImage(
-            phantom.evaluate(X, Y), grid, "ground-truth",
-            provenance={"phantom": config.phantom},
-        )
+        # evaluate reads the ellipses if any, else the raster
+        content = phantom.ellipses if phantom.ellipses is not None else (
+            phantom.values.shape, phantom.values.tobytes(), phantom.spacing, phantom.origin)
+        values = recon._cached(("truth", grid, content), lambda: phantom.evaluate(
+            *np.meshgrid(*grid.axes(), indexing="ij")))
+        values.flags.writeable = False
+        truth = ReconImage(values, grid, "ground-truth", provenance={"phantom": config.phantom})
 
     with _stage("resample", runtimes):
         inv_tg = config.inversion_time_grid()

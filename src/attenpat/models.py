@@ -15,7 +15,6 @@ families matter here:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -404,6 +403,8 @@ def model_tag(model: AttenuationModel) -> str:
     """Canonical short string identifying a model and its parameters."""
     kind = _kind(model)
     if kind == "tabulated":
+        import hashlib  # off the CLI's import path
+
         digest = hashlib.sha256(model.omega.tobytes() + model.kstar.tobytes()).hexdigest()
         return f"tabulated(k_inf={model.k_inf:.17g},n={model.omega.size},h={digest[:8]})"
     return f"{kind}({','.join(f'{key}={getattr(model, key):.17g}' for key in _MODELS[kind][1])})"

@@ -12,9 +12,9 @@ time samples: on each sample interval g = A + B t, and
     int (A + B t) / sqrt(t^2 - d^2) dt = A acosh(t/d) + B sqrt(t^2 - d^2).
 
 Because that integral is a fixed linear functional of the time samples
-for each distance, the whole inner transform collapses into one weight
-matrix applied to the data, and each pixel then needs a single
-interpolation per sensor.
+for each distance, and so is the time derivative of p/t, the whole inner
+transform collapses into one table applied to the raw traces, and each
+pixel then needs a single interpolation per sensor.
 
 The attenuation-corrected pipelines all share the shape: integrate the
 measured p^a in time, undo the attenuation operator (fully, or only its
@@ -130,19 +130,6 @@ def time_differentiate(wave: WaveData) -> WaveData:
     return wave.replace_values(p, kind=kind_map[wave.kind])
 
 
-def _dt_ratio_traces(wave: WaveData) -> np.ndarray:
-    """d/dt of (trace / t): central differences interior, one-sided ends."""
-    t = wave.time_grid.times[:, None]
-    g = wave.values / t
-    dt = wave.time_grid.dt
-    out = np.empty_like(g)
-    np.subtract(g[2:], g[:-2], out=out[1:-1])
-    out[1:-1] /= 2.0 * dt
-    out[0] = (g[1] - g[0]) / dt
-    out[-1] = (g[-1] - g[-2]) / dt
-    return out
-
-
 def check_inside(sensors: SensorArray, pts: np.ndarray) -> None:
     """Raise unless every point lies strictly inside the 2-D measurement
     geometry: within the circle, or above the line."""
@@ -206,19 +193,26 @@ def _mirror_pairs(sensors: SensorArray, grid: ImageGrid) -> tuple:
     return [(j,) for j in range(n)], axis
 
 
-# back_project's geometry-only work, at most _PLANS_LIMIT plans, oldest dropped first.  Keyed by
-# content, not id(): each sweep point builds new but equal sensors, and ids are recycled.
-_PLANS: dict = {}
-_PLANS_LIMIT = 8
+# The one bounded cache of the pipeline: at most _CACHE_LIMIT entries, oldest dropped first, each
+# key prefixed with its entry kind.  It holds back_project's plans and the scenario layer's
+# forward data and ground truth (experiments reads it through this module, at call time).
+_CACHE: dict = {}
+_CACHE_LIMIT = 8
+
+
+def _cached(key: tuple, compute, *args):
+    """``compute(*args)``, stored under ``key`` on a miss; a failed compute stores nothing."""
+    if key not in _CACHE:
+        _CACHE[key] = compute(*args)
+        if len(_CACHE) > _CACHE_LIMIT:
+            _CACHE.pop(next(iter(_CACHE)))
+    return _CACHE[key]
 
 
 def _plan(sensors: SensorArray, tg: TimeGrid, grid: ImageGrid) -> tuple:
-    """The distance axis, its read-only weight table (None: no signal in time) and mirror pairs."""
-    key = (sensors.kind, tuple(sorted(sensors.params.items())), sensors.points.tobytes(),
-           sensors.normals.tobytes(), sensors.weights.tobytes(), tg,
-           tuple(grid.shape), grid.spacing, tuple(grid.origin))
-    if key in _PLANS:
-        return _PLANS[key]
+    """The distance axis, its read-only table (None: no signal in time) and mirror pairs.  The
+    table is ``(W @ D / t).T``, W the :func:`_inner_weight_matrix` and D the d/dt of
+    ``np.gradient``, so a set's profiles of ``Phi`` over ``d/dt (p/t)`` are ``values.T @ table``."""
     pts = grid.points()
     check_inside(sensors, pts)
     if tg.count < 2:
@@ -227,15 +221,15 @@ def _plan(sensors: SensorArray, tg: TimeGrid, grid: ImageGrid) -> tuple:
     sr = np.linalg.norm(sensors.points, axis=1)
     d_lo = max(float(sr.min() - pr), tg.dt)
     d_hi = min(float(sr.max() + pr), tg.duration * (1.0 - 1e-9))
-    weights = None
+    table = None
     if d_hi > d_lo:
         n_d = int(max(np.ceil((d_hi - d_lo) / (tg.dt / 4.0)) + 1, 32))
         weights = _inner_weight_matrix(tg.times, np.linspace(d_lo, d_hi, n_d))
-        weights.flags.writeable = False
-    _PLANS[key] = (d_lo, d_hi, weights, *_mirror_pairs(sensors, grid))
-    if len(_PLANS) > _PLANS_LIMIT:
-        _PLANS.pop(next(iter(_PLANS)))
-    return _PLANS[key]
+        derivative = np.gradient(np.eye(tg.count), tg.dt, axis=0)
+        # a copy, not the transposed view: same speed, and the view read 3 MB more sweep peak RSS
+        table = np.ascontiguousarray((weights @ derivative / tg.times).T)
+        table.flags.writeable = False
+    return (d_lo, d_hi, table, *_mirror_pairs(sensors, grid))
 
 
 def back_project(waves: dict, grid: ImageGrid) -> dict:
@@ -257,11 +251,12 @@ def back_project(waves: dict, grid: ImageGrid) -> dict:
     piecewise-linear interpolant of the time samples
     (:func:`_inner_weight_matrix`).
 
-    Returns each trace set's image under its tag.  The weight table comes
-    from the geometry's cached :func:`_plan`; per mirror pair of sensors, the
-    pixel distances, table indices and interpolation weights are computed
-    once and shared, and the partner's terms go to a mirror image added
-    reversed along the mirror axis.  The images do not interact.
+    Returns each trace set's image under its tag.  The table, which reads
+    the raw traces, comes from the geometry's cached :func:`_plan`; per
+    mirror pair of sensors, the pixel distances, table indices and
+    interpolation weights are computed once and shared, and the partner's
+    terms go to a mirror image added reversed along the mirror axis.  The
+    images do not interact.
     """
     first = next(iter(waves.values()))
     sensors, tg = first.sensors, first.time_grid
@@ -272,13 +267,17 @@ def back_project(waves: dict, grid: ImageGrid) -> dict:
             raise ValueError("back-projected traces must share one time grid and one sensor array")
     if grid.ndim != 2:
         raise ValueError("2-D back-projection needs a 2-D image grid")
-    d_lo, d_hi, weights, pairs, axis = _plan(sensors, tg, grid)
+    # keyed by content, not id(): each sweep point builds equal sensors anew, and ids are recycled
+    key = ("plan", sensors.kind, tuple(sorted(sensors.params.items())), sensors.points.tobytes(),
+           sensors.normals.tobytes(), sensors.weights.tobytes(), tg,
+           tuple(grid.shape), grid.spacing, tuple(grid.origin))
+    d_lo, d_hi, table, pairs, axis = _cached(key, _plan, sensors, tg, grid)
 
     omega0 = 4.0 * np.pi if sensors.kind == "circle" else 2.0 * np.pi
     images = [np.zeros(grid.shape) for _ in waves]
-    if weights is not None:
+    if table is not None:
         # (n_sensors, n_d) per trace set: each sensor's profile is contiguous
-        profiles = [_dt_ratio_traces(wave).T @ weights.T for wave in waves.values()]
+        profiles = [wave.values.T @ table for wave in waves.values()]
         mirrors = [np.zeros(grid.shape) for _ in waves]
 
         # The grid is a tensor product, so per sensor the distance and n.(xi - x)
@@ -286,7 +285,7 @@ def back_project(waves: dict, grid: ImageGrid) -> dict:
         # np.interp's search into index arithmetic (same edges: phi[0] below
         # d_lo, phi[-1] at d_hi, zero beyond).
         ax, ay = grid.axes()
-        inv_step = (len(weights) - 1) / (d_hi - d_lo)
+        inv_step = (table.shape[1] - 1) / (d_hi - d_lo)
         for pair in pairs:
             j = pair[0]
             dx = sensors.points[j, 0] - ax
@@ -302,7 +301,7 @@ def back_project(waves: dict, grid: ImageGrid) -> dict:
             pos -= d_lo
             pos *= inv_step
             np.maximum(pos, 0.0, out=pos)
-            lo = np.minimum(np.floor(pos), len(weights) - 2.0)
+            lo = np.minimum(np.floor(pos), table.shape[1] - 2.0)
             idx = lo.astype(np.intp)
             w1 = np.subtract(pos, lo, out=pos)  # frac, the position past idx
             w1 *= w0  # phi is read at idx with w0 = ndot (1 - frac), at idx + 1 with w1

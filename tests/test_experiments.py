@@ -362,6 +362,10 @@ class TestScenarioConfig:
             ({"forward_time_count": 60, "inversion_time_count": 80}, "inversion_time_count"),
             ({"forward_sensor_count": 64, "geometry": {"kind": "circle", "count": 128}},
              "geometry.count"),
+            # one time sample, which can be neither differentiated nor back-projected
+            ({"forward_time_count": 1, "inversion_time_count": 1, "image_size": 16},
+             "forward_time_count"),
+            ({"forward_time_count": 2, "inversion_time_count": 1}, "inversion_time_count"),
         ],
     )
     def test_bad_integer_or_boolean_named(self, raw, field):
@@ -465,16 +469,17 @@ class TestRunScenario:
 
     def test_forward_cache_keys_on_phantom_raster(self):
         # image_size sets the raster spacing, hence dx and the padded grid
-        from attenpat.experiments import _FORWARD_CACHE, simulate_scenario
+        from attenpat.experiments import simulate_scenario
+        from attenpat.recon import _CACHE
 
         small = dict(SMALL, forward_time_count=60, forward_sensor_count=64,
                      inversion_time_count=60, inversion_sensor_count=64)
         coarse = ScenarioConfig(model=ConstantModel(0.45), **dict(small, image_size=32))
         fine = ScenarioConfig(model=ConstantModel(0.45), **dict(small, image_size=96))
-        _FORWARD_CACHE.clear()
+        _CACHE.clear()
         simulate_scenario(coarse)
         after_coarse, _, _ = simulate_scenario(fine)
-        _FORWARD_CACHE.clear()
+        _CACHE.clear()
         fresh, _, _ = simulate_scenario(fine)
         assert np.array_equal(after_coarse.values, fresh.values)
 
@@ -531,7 +536,7 @@ class TestForwardCache:
     @pytest.fixture
     def calls(self, monkeypatch):
         """Calls of the forward layers ``simulate_scenario`` runs, from an empty cache."""
-        from attenpat import experiments
+        from attenpat import experiments, recon
 
         calls = dict.fromkeys(("spectral_forward", "build_system", "apply_attenuation"), 0)
         for name in calls:
@@ -539,7 +544,7 @@ class TestForwardCache:
                 calls[_name] += 1
                 return _original(*args, **kwargs)
             monkeypatch.setattr(experiments, name, spy)
-        experiments._FORWARD_CACHE.clear()
+        recon._CACHE.clear()
         return calls
 
     @staticmethod
@@ -569,13 +574,13 @@ class TestForwardCache:
     ], ids=["law", "omega_max", "forward_quad_nodes", "forward_time_count", "geometry",
             "phantom"])
     def test_forward_changes_attenuate_again(self, calls, change, propagations):
-        from attenpat.experiments import _FORWARD_CACHE
+        from attenpat.recon import _CACHE
 
         self.simulate()
         cached = self.simulate(**change)
         assert calls == {"spectral_forward": propagations, "build_system": 2,
                          "apply_attenuation": 2}
-        _FORWARD_CACHE.clear()
+        _CACHE.clear()
         assert np.array_equal(cached, self.simulate(**change))
 
     def test_laws_on_one_geometry_share_one_propagation(self, calls):
@@ -585,17 +590,18 @@ class TestForwardCache:
 
     @pytest.mark.parametrize("noise", [0.0, 0.2])
     def test_hit_is_bitwise_a_run_after_clearing(self, calls, noise):
-        from attenpat.experiments import _FORWARD_CACHE
+        from attenpat.recon import _CACHE
 
         miss = self.simulate(noise_level=noise, seed=4)
         hit = self.simulate(noise_level=noise, seed=4)
-        _FORWARD_CACHE.clear()
+        _CACHE.clear()
         assert np.array_equal(hit, miss)
         assert np.array_equal(hit, self.simulate(noise_level=noise, seed=4))
         assert calls["build_system"] == 2
 
     def test_callers_get_copies(self, calls):
-        from attenpat.experiments import _FORWARD_CACHE, _forward_pressure
+        from attenpat.experiments import _forward_pressure
+        from attenpat.recon import _CACHE
 
         pa = self.simulate()
         expect_pa = pa.copy()
@@ -609,8 +615,41 @@ class TestForwardCache:
         # a new law attenuates the cached lossless traces, which the write above did not reach
         constant = self.simulate(model=ConstantModel(0.45))
         assert calls["spectral_forward"] == 1
-        _FORWARD_CACHE.clear()
+        _CACHE.clear()
         assert np.array_equal(constant, self.simulate(model=ConstantModel(0.45)))
+
+    def test_plans_and_forward_data_share_one_bound(self, calls, monkeypatch):
+        from attenpat import recon
+
+        built = []
+        build = ScenarioConfig.build_phantom
+        monkeypatch.setattr(ScenarioConfig, "build_phantom",
+                            lambda config: built.append(config) or build(config))
+        first = self.simulate()
+        assert [key[0] for key in recon._CACHE] == ["phantom", "lossless", "clean"]
+        tg, grid = TimeGrid.from_duration(6.0, 20), ImageGrid.centered(8, 1.0)
+        for count in range(16, 16 + recon._CACHE_LIMIT - 2):  # new plans: the phantom goes
+            sensors = SensorArray.circle(1.7, count)
+            recon.back_project({"p": _wave(np.zeros((20, count)), tg, sensors)}, grid)
+        assert [key[0] for key in recon._CACHE] == ["lossless", "clean"] + ["plan"] * 6
+        assert np.array_equal(self.simulate(), first)
+        assert len(built) == 2
+        assert calls == {"spectral_forward": 1, "build_system": 1, "apply_attenuation": 1}
+
+    def test_truth_shared_per_phantom_and_image_grid(self, calls):
+        from attenpat.recon import _CACHE
+
+        config = ScenarioConfig(**{"model": NswModel(0.11, 0.10), **CACHED})
+        first = run_scenario(config).truth.values
+        assert not first.flags.writeable
+        noisy = dataclasses.replace(config, noise_level=0.2, seed=3)
+        assert run_scenario(noisy).truth.values is first
+        for change in (dict(image_size=40), dict(phantom={"kind": "disk", "radius": 0.3})):
+            changed = dataclasses.replace(config, **change)
+            truth = run_scenario(changed).truth.values
+            assert truth is not first
+            _CACHE.clear()
+            assert np.array_equal(truth, run_scenario(changed).truth.values)
 
     @pytest.mark.parametrize("change, rasters", [
         (dict(noise_level=0.2, seed=3), 1),
@@ -626,7 +665,7 @@ class TestForwardCache:
             "image_half_extent", "half_extent"])
     def test_phantom_rasterized_once_per_spec_and_raster(self, calls, monkeypatch, change,
                                                          rasters):
-        from attenpat.experiments import _FORWARD_CACHE
+        from attenpat.recon import _CACHE
 
         built = []
         build = ScenarioConfig.build_phantom
@@ -639,7 +678,7 @@ class TestForwardCache:
         assert len(built) == rasters
         assert (phantom is first) == (rasters == 1)
         assert not phantom.values.flags.writeable
-        _FORWARD_CACHE.clear()
+        _CACHE.clear()
         fresh_pa, fresh, _ = simulate_scenario(changed)
         assert np.array_equal(phantom.values, fresh.values)
         assert np.array_equal(pa.values, fresh_pa.values)

@@ -200,7 +200,7 @@ class TestUbp2d:
             return table["weights"]
 
         monkeypatch.setattr(recon, "_inner_weight_matrix", spy)
-        monkeypatch.setattr(recon, "_PLANS", {})  # an earlier test may hold this geometry's plan
+        monkeypatch.setattr(recon, "_CACHE", {})  # an earlier test may hold this geometry's plan
         tg = TimeGrid.from_duration(duration, 50)
         grid = ImageGrid.centered(24, 1.0)
         rng = np.random.default_rng(17)
@@ -266,7 +266,7 @@ class TestBackProject:
             return tables[-1][1]
 
         monkeypatch.setattr(recon, "_inner_weight_matrix", spy)
-        monkeypatch.setattr(recon, "_PLANS", {})  # an earlier test may hold this geometry's plan
+        monkeypatch.setattr(recon, "_CACHE", {})  # an earlier test may hold this geometry's plan
         sizes = [len(pair) for pair in recon._mirror_pairs(sensors, grid)[0]]
         assert (sizes.count(2), sizes.count(1)) == (pairs, singles)
         tg = TimeGrid.from_duration(duration, 50)
@@ -340,7 +340,7 @@ def _random_images(sensors, tg, grid, seed=0):
 class TestPlanCache:
     @pytest.fixture
     def tables(self, monkeypatch):
-        """The weight tables ``back_project`` builds, from an empty plan cache."""
+        """The weight tables ``back_project`` builds, from an empty cache."""
         import attenpat.recon as recon
 
         tables = []
@@ -351,7 +351,7 @@ class TestPlanCache:
             return tables[-1]
 
         monkeypatch.setattr(recon, "_inner_weight_matrix", spy)
-        monkeypatch.setattr(recon, "_PLANS", {})
+        monkeypatch.setattr(recon, "_CACHE", {})
         return tables
 
     def test_equal_geometries_share_one_table(self, tables):
@@ -359,8 +359,9 @@ class TestPlanCache:
 
         first = _random_images(*_plan_geometry())
         again = _random_images(*_plan_geometry())  # new but equal objects
-        assert len(tables) == 1 and len(recon._PLANS) == 1
-        assert not tables[0].flags.writeable
+        assert len(tables) == 1 and len(recon._CACHE) == 1
+        (plan,) = recon._CACHE.values()
+        assert not plan[2].flags.writeable  # the stored table, with the time derivative folded in
         for tag in first:
             assert np.array_equal(first[tag], again[tag])
 
@@ -379,7 +380,7 @@ class TestPlanCache:
         changed = _plan_geometry(**base, **change)
         hit = _random_images(*changed)
         assert len(tables) == 2
-        recon._PLANS.clear()
+        recon._CACHE.clear()
         fresh = _random_images(*changed)
         for tag in hit:
             assert np.array_equal(hit[tag], fresh[tag])
@@ -392,7 +393,7 @@ class TestPlanCache:
 
         miss = _random_images(*_plan_geometry(**geometry), seed=3)
         hit = _random_images(*_plan_geometry(**geometry), seed=3)
-        recon._PLANS.clear()
+        recon._CACHE.clear()
         cleared = _random_images(*_plan_geometry(**geometry), seed=3)
         assert len(tables) == 2
         for tag in miss:
@@ -402,22 +403,22 @@ class TestPlanCache:
     def test_bounded_and_oldest_dropped_first(self, tables):
         import attenpat.recon as recon
 
-        limit = recon._PLANS_LIMIT
+        limit = recon._CACHE_LIMIT
         for i in range(limit + 3):
             _random_images(*_plan_geometry(count=16 + i, size=8))
-            assert len(recon._PLANS) <= limit
+            assert len(recon._CACHE) <= limit
         assert len(tables) == limit + 3
         _random_images(*_plan_geometry(count=16 + limit + 2, size=8))  # the newest: kept
         assert len(tables) == limit + 3
         _random_images(*_plan_geometry(count=16, size=8))  # the oldest: dropped
-        assert len(tables) == limit + 4 and len(recon._PLANS) == limit
+        assert len(tables) == limit + 4 and len(recon._CACHE) == limit
 
     def test_rejected_geometry_is_not_kept(self, tables):
         import attenpat.recon as recon
 
         with pytest.raises(ValueError, match="outside"):
             _random_images(*_plan_geometry(half=2.0))
-        assert recon._PLANS == {}
+        assert recon._CACHE == {}
 
 
 class TestUbp3d:
