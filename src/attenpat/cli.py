@@ -151,10 +151,11 @@ def _cmd_run_scenario(args) -> int:
 def _cmd_compare(args) -> int:
     a = read_grid(args.image_a)
     b = read_grid(args.image_b)
-    if a.values.shape != b.values.shape:
-        raise ConfigError(
-            f"images have different shapes: {a.values.shape} vs {b.values.shape}"
-        )
+    for what, of_a, of_b in (("shape", a.values.shape, b.values.shape),
+                             ("spacing", a.spacing, b.spacing), ("origin", a.origin, b.origin)):
+        if of_a != of_b:
+            raise ConfigError(f"{args.image_a} and {args.image_b} lie on different grids: "
+                              f"{what} {of_a} vs {of_b}")
     denom = float(np.linalg.norm(b.values))
     rel = float(np.linalg.norm(a.values - b.values)) / denom if denom else float("nan")
     print(f"rel_l2_error = {rel:.17g}")

@@ -53,6 +53,7 @@ from .wavefield import (
     TimeGrid,
     WaveData,
     disk_phantom,
+    make_sensors,
     make_shepp_logan,
     phantom_from_ellipses,
     spectral_forward,
@@ -99,21 +100,18 @@ def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
-def _geometry(value) -> str:
-    if value not in ("circle", "line"):
-        raise ValueError(f"unknown value {value!r}")
-    return value
+# sensor kind -> the value of each geometry key it reads, and of duration, when not given
+_KIND_DEFAULTS = {"circle": ({"radius": 1.7, "count": 849}, 6.0),
+                  "line": ({"length": 10.2, "standoff": 1.7, "count": 849}, 8.0)}
+_GEOMETRY_KEYS = {kind: SENSOR_KEYS[kind] for kind in _KIND_DEFAULTS}
 
 
-def _own_key(key: str, kind: str) -> bool:
-    """False for a ``geometry.<key>`` that the sensor ``kind`` does not read."""
-    section, _, sub = key.partition(".")
-    return section != "geometry" or sub == "kind" or sub in SENSOR_KEYS[kind]
+def _geometry(spec) -> dict:
+    """The sensor geometry mapping with its kind's defaults filled in and every value typed."""
+    kind, values = read_kind("geometry", spec, _GEOMETRY_KEYS, default="circle",
+                             optional=("radius", "length", "standoff", "count"))
+    return {"kind": kind, **_KIND_DEFAULTS[kind][0], **values}
 
-
-# sensor kind -> the value of each field that defaults to None when the kind reads it
-_KIND_DEFAULTS = {"circle": {"radius": 1.7, "duration": 6.0},
-                  "line": {"line_length": 10.2, "standoff": 1.7, "duration": 8.0}}
 
 _time_count = partial(finite_int, least=2)  # to differentiate and to back-project
 
@@ -185,16 +183,12 @@ class ScenarioConfig:
     model: AttenuationModel = _field(
         _model, "model", model_to_spec, default_factory=lambda: ConstantModel(k_inf=0.45)
     )
-    geometry: str = _field(_geometry, "geometry.kind", default="circle")
-    # None means the kind's default (_KIND_DEFAULTS); a key the kind does not read stays None
-    radius: float | None = _field(_optional(positive_real), "geometry.radius", default=None)
-    line_length: float | None = _field(_optional(positive_real), "geometry.length", default=None)
-    standoff: float | None = _field(_optional(positive_real), "geometry.standoff", default=None)
+    geometry: dict = _field(_geometry, "geometry", default_factory=lambda: {"kind": "circle"})
+    # None means the geometry kind's default (_KIND_DEFAULTS)
     duration: float | None = _field(_optional(positive_real), "duration", default=None)
     forward_time_count: int = _field(_time_count, "forward_time_count", default=500)
     forward_sensor_count: int = _field(finite_int, "forward_sensor_count", default=896)
     inversion_time_count: int = _field(_time_count, "inversion_time_count", default=443)
-    inversion_sensor_count: int = _field(finite_int, "geometry.count", default=849)
     image_size: int = _field(finite_int, "image_size", default=128)
     image_half_extent: float = _field(positive_real, "image_half_extent", default=1.0)
     phantom: dict = _field(
@@ -210,15 +204,11 @@ class ScenarioConfig:
     )
 
     def __post_init__(self) -> None:
-        for f in fields(self):  # geometry precedes the fields whose defaults depend on it
-            key = f.metadata["key"]
-            value = keyed(key, f.metadata["convert"], getattr(self, f.name))
-            own = _own_key(key, self.geometry)
-            if value is not None and not own:
-                raise ConfigError(f"{key}: unknown field for kind {self.geometry!r}")
-            if value is None and own:
-                value = _KIND_DEFAULTS[self.geometry].get(f.name)
-            setattr(self, f.name, value)
+        for f in fields(self):
+            setattr(self, f.name, keyed(f.metadata["key"], f.metadata["convert"],
+                                        getattr(self, f.name)))
+        if self.duration is None:
+            self.duration = _KIND_DEFAULTS[self.geometry["kind"]][1]
         # the phantom builders' limits, on the values they will be given
         spec = self.phantom
         n, half = self._phantom_raster()
@@ -234,11 +224,11 @@ class ScenarioConfig:
         # resample_data coarsens the forward traces onto the inversion grids, never refines
         for key, count, forward in (
                 ("inversion_time_count", self.inversion_time_count, "forward_time_count"),
-                ("geometry.count", self.inversion_sensor_count, "forward_sensor_count")):
+                ("geometry.count", self.geometry["count"], "forward_sensor_count")):
             if count > getattr(self, forward):
                 raise ConfigError(f"{key}: {count} exceeds {forward} {getattr(self, forward)}")
         # the image grid strictly inside the inversion geometry, as back_project needs
-        sensors = keyed("geometry.count", self.sensors, self.inversion_sensor_count)
+        sensors = keyed("geometry.count", self.sensors, self.geometry["count"])
         keyed("image_half_extent", partial(check_inside, sensors), self.image_grid().points())
 
     # --- derived pieces -------------------------------------------------
@@ -249,9 +239,7 @@ class ScenarioConfig:
         return TimeGrid.from_duration(self.duration, self.inversion_time_count)
 
     def sensors(self, count: int) -> SensorArray:
-        if self.geometry == "circle":
-            return SensorArray.circle(self.radius, count)
-        return SensorArray.line(self.line_length, self.standoff, count)
+        return make_sensors({**self.geometry, "count": count})
 
     def image_grid(self) -> ImageGrid:
         return ImageGrid.centered(self.image_size, self.image_half_extent)
@@ -294,18 +282,14 @@ class ScenarioConfig:
                 raise ConfigError(f"{key}: unknown config field")
             else:
                 flat[key] = value
-        for key, value in flat.items():
+        for key in flat:
             if key not in names:
                 raise ConfigError(f"{key}: unknown config field")
-            if value is None and key.startswith("geometry."):  # a file has no null geometry
-                raise ConfigError(f"{key}: expected a value, got null")
         return cls(**{names[key]: value for key, value in flat.items()})
 
     def to_dict(self) -> dict:
         out: dict = {}
         for f in fields(self):
-            if not _own_key(f.metadata["key"], self.geometry):
-                continue
             section, _, key = f.metadata["key"].rpartition(".")
             value = f.metadata["dump"](getattr(self, f.name))
             (out.setdefault(section, {}) if section else out)[key] = value
@@ -497,7 +481,7 @@ def reconstruct_scenario(config: ScenarioConfig, pa: WaveData, phantom: Phantom 
 
     with _stage("resample", runtimes):
         inv_tg = config.inversion_time_grid()
-        pa_inv = resample_data(pa, inv_tg, config.sensors(config.inversion_sensor_count))
+        pa_inv = resample_data(pa, inv_tg, config.sensors(config.geometry["count"]))
 
     traces = {"naive": pa_inv}
     if "compensated" in config.methods():

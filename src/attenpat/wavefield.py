@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 from numpy.fft import ifft, irfft, rfft2
 
-from .models import finite_int, finite_real, read_kind
+from .models import finite_int, positive_real, read_kind
 
 __all__ = [
     "TimeGrid",
@@ -179,9 +179,9 @@ class SensorArray:
 
 
 # sensor kind -> the converter of each geometry key it reads besides kind
-SENSOR_KEYS = {"circle": {"radius": finite_real, "count": finite_int},
-               "line": {"length": finite_real, "standoff": finite_real, "count": finite_int},
-               "sphere": {"radius": finite_real, "count": finite_int}}
+SENSOR_KEYS = {"circle": {"radius": positive_real, "count": finite_int},
+               "line": {"length": positive_real, "standoff": positive_real, "count": finite_int},
+               "sphere": {"radius": positive_real, "count": finite_int}}
 
 
 def make_sensors(spec: dict) -> SensorArray:

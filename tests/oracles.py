@@ -167,7 +167,7 @@ def lossless_errors(result):
     config = result.config
     p = _forward_pressure(config, config.build_phantom())
     p = resample_data(p, config.inversion_time_grid(),
-                      config.sensors(config.inversion_sensor_count))
+                      config.sensors(config.geometry["count"]))
     lossless = back_project({"lossless": p}, result.truth.grid)["lossless"]
     return {name: rel_l2_error(img, lossless) for name, img in result.reconstructions.items()}
 

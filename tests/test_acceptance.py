@@ -188,10 +188,10 @@ def test_criterion_5_lossless_disk_self_consistency():
 # criteria 6 + 7: the four mirrored experiments, noise-free and at 20% noise
 # --------------------------------------------------------------------------
 SCENARIOS = {
-    "constant-circle": dict(model=CONSTANT, geometry="circle"),
-    "nsw-circle": dict(model=NSW, geometry="circle"),
-    "constant-line": dict(model=CONSTANT, geometry="line"),
-    "nsw-line": dict(model=NSW, geometry="line"),
+    "constant-circle": dict(model=CONSTANT, geometry={"kind": "circle"}),
+    "nsw-circle": dict(model=NSW, geometry={"kind": "circle"}),
+    "constant-line": dict(model=CONSTANT, geometry={"kind": "line"}),
+    "nsw-line": dict(model=NSW, geometry={"kind": "line"}),
 }
 
 

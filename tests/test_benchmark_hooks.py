@@ -80,7 +80,7 @@ def test_noise_only_rerun_reads_as_the_sweep_expects(monkeypatch):
 
     base = experiments.ScenarioConfig(
         model=NswModel(0.11, 0.10), phantom={"kind": "disk"}, forward_time_count=60,
-        forward_sensor_count=64, inversion_time_count=50, inversion_sensor_count=64,
+        forward_sensor_count=64, inversion_time_count=50, geometry={"kind": "circle", "count": 64},
         image_size=32)
     experiments.simulate_scenario(base)
     config = dataclasses.replace(base, noise_level=0.2, seed=3)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import attenpat
 from attenpat.cli import main
@@ -71,6 +72,21 @@ class TestCompareCommand:
         write_grid(a, np.ones((8, 8)), kind="image")
         write_grid(b, np.ones((4, 4)), kind="image")
         assert main(["compare", str(a), str(b)]) == 1
+
+    @pytest.mark.parametrize("spacing, origin, differs", [
+        ((0.5, 0.5), (3.0, 3.0), "spacing"),
+        ((0.1, 0.1), (3.0, 3.0), "origin"),
+    ])
+    def test_grid_mismatch_is_usage_error(self, tmp_path, capsys, spacing, origin, differs):
+        # equal shapes, but the images sample different points, as rel_l2_error refuses
+        a = tmp_path / "a.atw"
+        b = tmp_path / "b.atw"
+        write_grid(a, np.ones((4, 4)), kind="image", spacing=(0.1, 0.1), origin=(0.0, 0.0))
+        write_grid(b, np.full((4, 4), 0.5), kind="image", spacing=spacing, origin=origin)
+        assert main(["compare", str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert "rel_l2_error" not in captured.out
+        assert f"{a} and {b} lie on different grids: {differs}" in captured.err
 
 
 class TestUsageErrors:

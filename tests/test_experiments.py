@@ -31,7 +31,7 @@ SMALL = dict(
     forward_time_count=180,
     forward_sensor_count=256,
     inversion_time_count=160,
-    inversion_sensor_count=212,
+    geometry={"kind": "circle", "count": 212},
     image_size=48,
 )
 
@@ -194,18 +194,18 @@ class TestMetrics:
 
 class TestScenarioConfig:
     def test_defaults_follow_geometry(self):
-        assert ScenarioConfig(geometry="circle").duration == 6.0
-        assert ScenarioConfig(geometry="line").duration == 8.0
+        assert ScenarioConfig(geometry={"kind": "circle"}).duration == 6.0
+        assert ScenarioConfig(geometry={"kind": "line"}).duration == 8.0
 
     def test_from_dict_round_trip(self):
-        cfg = ScenarioConfig(model=NswModel(0.11, 0.10), geometry="line",
-                             noise_level=0.2, seed=9, **SMALL)
+        cfg = ScenarioConfig(model=NswModel(0.11, 0.10), noise_level=0.2, seed=9,
+                             **dict(SMALL, geometry={"kind": "line", "count": 212}))
         again = ScenarioConfig.from_dict(cfg.to_dict())
         assert again.model == cfg.model
-        assert again.geometry == "line"
+        assert again.geometry == {"kind": "line", "length": 10.2, "standoff": 1.7, "count": 212}
         assert again.noise_level == 0.2
         assert again.seed == 9
-        assert again.inversion_sensor_count == cfg.inversion_sensor_count
+        assert again.geometry["count"] == cfg.geometry["count"]
         # every key set, each to a value other than its default
         raw = {
             "model": {"kind": "tabulated", "omega": [-50.0, 0.0, 50.0],
@@ -388,18 +388,23 @@ class TestScenarioConfig:
 
     def test_unknown_geometry(self):
         with pytest.raises(ConfigError, match="geometry"):
-            ScenarioConfig(geometry="helix")
+            ScenarioConfig(geometry={"kind": "helix"})
 
     @pytest.mark.parametrize(
         "build, field",
         [
-            (lambda: ScenarioConfig(geometry="line", radius=3.0), "geometry.radius"),
-            (lambda: ScenarioConfig(line_length=10.2), "geometry.length"),
-            (lambda: ScenarioConfig(geometry="circle", standoff=1.7), "geometry.standoff"),
-            (lambda: dataclasses.replace(ScenarioConfig(geometry="line"), radius=9.0),
+            (lambda: ScenarioConfig(geometry={"kind": "line", "radius": 3.0}), "geometry.radius"),
+            (lambda: ScenarioConfig(geometry={"length": 10.2}), "geometry.length"),
+            (lambda: ScenarioConfig(geometry={"kind": "circle", "standoff": 1.7}),
+             "geometry.standoff"),
+            (lambda: dataclasses.replace(
+                ScenarioConfig(geometry={"kind": "line"}),
+                geometry={"kind": "line", "length": 10.2, "standoff": 1.7, "radius": 9.0}),
              "geometry.radius"),
             # the circle's filled-in radius does not carry over to a line
-            (lambda: dataclasses.replace(ScenarioConfig(), geometry="line"), "geometry.radius"),
+            (lambda: dataclasses.replace(
+                ScenarioConfig(), geometry={**ScenarioConfig().geometry, "kind": "line"}),
+             "geometry.radius"),
         ],
         ids=["line-radius", "circle-length", "circle-standoff", "replace-line-radius",
              "replace-circle-to-line"],
@@ -409,9 +414,9 @@ class TestScenarioConfig:
             build()
 
     def test_kind_defaults_filled_and_kept_through_replace(self):
-        circle, line = ScenarioConfig(), ScenarioConfig(geometry="line")
-        assert (circle.radius, circle.line_length, circle.standoff) == (1.7, None, None)
-        assert (line.radius, line.line_length, line.standoff) == (None, 10.2, 1.7)
+        circle, line = ScenarioConfig(), ScenarioConfig(geometry={"kind": "line"})
+        assert circle.geometry == {"kind": "circle", "radius": 1.7, "count": 849}
+        assert line.geometry == {"kind": "line", "length": 10.2, "standoff": 1.7, "count": 849}
         noisy = dataclasses.replace(line, noise_level=0.2, seed=4)
         assert noisy.to_dict() == {**line.to_dict(), "noise": {"level": 0.2, "seed": 4}}
         assert noisy.to_dict()["geometry"] == {"kind": "line", "length": 10.2,
@@ -473,7 +478,7 @@ class TestRunScenario:
         from attenpat.recon import _CACHE
 
         small = dict(SMALL, forward_time_count=60, forward_sensor_count=64,
-                     inversion_time_count=60, inversion_sensor_count=64)
+                     inversion_time_count=60, geometry={"kind": "circle", "count": 64})
         coarse = ScenarioConfig(model=ConstantModel(0.45), **dict(small, image_size=32))
         fine = ScenarioConfig(model=ConstantModel(0.45), **dict(small, image_size=96))
         _CACHE.clear()
@@ -488,7 +493,8 @@ class TestRunScenario:
         # data on a radius-1.7 circle, config on radius 2.0, same time grid
         from attenpat.experiments import ScenarioStageError, reconstruct_scenario
 
-        cfg = ScenarioConfig(model=ConstantModel(0.45), radius=2.0, **SMALL)
+        geometry = {"kind": "circle", "radius": 2.0, "count": 212}
+        cfg = ScenarioConfig(model=ConstantModel(0.45), **dict(SMALL, geometry=geometry))
         tg = cfg.inversion_time_grid()
         pa = _wave(np.zeros((tg.count, count)), tg, SensorArray.circle(1.7, count))
         with pytest.raises(ScenarioStageError, match="radius differs"):
@@ -521,7 +527,7 @@ class TestRunScenario:
         # sharing the forward grids must not beat the honest run by > 30%
         honest = run_scenario(ScenarioConfig(model=NswModel(0.11, 0.10), seed=2, **SMALL))
         shared = dict(SMALL, inversion_time_count=SMALL["forward_time_count"],
-                      inversion_sensor_count=SMALL["forward_sensor_count"])
+                      geometry={"kind": "circle", "count": SMALL["forward_sensor_count"]})
         crime = run_scenario(ScenarioConfig(model=NswModel(0.11, 0.10), seed=2, **shared))
         assert crime.data.values.shape == crime.data_forward.values.shape
         assert crime.errors["full"] >= 0.7 * honest.errors["full"]
@@ -529,7 +535,7 @@ class TestRunScenario:
 
 # forward grids small enough that a cache miss costs well under a second
 CACHED = dict(SMALL, forward_time_count=60, forward_sensor_count=64, inversion_time_count=50,
-              inversion_sensor_count=64, image_size=32)
+              geometry={"kind": "circle", "count": 64}, image_size=32)
 
 
 class TestForwardCache:
@@ -569,7 +575,7 @@ class TestForwardCache:
         (dict(omega_max=20.0), 1),  # below the cap, so the band moves
         (dict(forward_quad_nodes=2**12), 1),
         (dict(forward_time_count=64), 2),
-        (dict(radius=1.8), 2),
+        (dict(geometry={"kind": "circle", "radius": 1.8, "count": 64}), 2),
         (dict(phantom={"kind": "disk", "radius": 0.3}), 2),
     ], ids=["law", "omega_max", "forward_quad_nodes", "forward_time_count", "geometry",
             "phantom"])
@@ -653,7 +659,8 @@ class TestForwardCache:
 
     @pytest.mark.parametrize("change, rasters", [
         (dict(noise_level=0.2, seed=3), 1),
-        (dict(radius=1.8), 1),  # the geometry is not a phantom input
+        # the geometry is not a phantom input
+        (dict(geometry={"kind": "circle", "radius": 1.8, "count": 64}), 1),
         (dict(phantom={"kind": "disk", "radius": 0.3}), 2),
         (dict(phantom={"kind": "disk", "intensity": 2.0}), 2),
         (dict(phantom={"kind": "shepp-logan"}), 2),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from attenpat.experiments import ConfigError, ScenarioConfig
 from attenpat.gridio import (
     read_csv,
     read_grid,
@@ -121,6 +122,31 @@ class TestWaveAndImageFiles:
         (tmp_path / "wave.atw.json").write_text("[1, 2]")
         with pytest.raises(ValueError, match="sidecar does not describe wave data"):
             load_wave(path)
+
+    @pytest.mark.parametrize("geometry, message", [
+        ({"kind": "helix", "count": 8}, "geometry.kind: unknown value 'helix'"),
+        ({"kind": "circle", "radius": 1.7, "count": 8, "length": 10.2},
+         "geometry.length: unknown field for kind 'circle'"),
+        ({"kind": "circle", "radius": 0, "count": 8}, "geometry.radius: must be > 0, got 0"),
+        ({"kind": "line", "length": -10.2, "standoff": 1.7, "count": 8},
+         "geometry.length: must be > 0, got -10.2"),
+        ({"kind": "line", "length": 10.2, "standoff": 0.0, "count": 8},
+         "geometry.standoff: must be > 0, got 0.0"),
+        ({"kind": "circle", "radius": 1.7, "count": 8.5},
+         "geometry.count: expected an integer, got 8.5"),
+    ])
+    def test_config_and_sidecar_reject_a_geometry_alike(self, tmp_path, geometry, message):
+        with pytest.raises(ConfigError) as config_error:
+            ScenarioConfig.from_dict({"geometry": geometry})
+        assert str(config_error.value) == message
+        path = tmp_path / "wave.atw"
+        save_wave(path, WaveData(np.zeros((4, 8)), TimeGrid.from_duration(1.0, 4),
+                                 SensorArray.circle(1.7, 8), kind="pressure"))
+        sidecar = tmp_path / "wave.atw.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "geometry": geometry}))
+        with pytest.raises(ValueError) as sidecar_error:
+            load_wave(path)
+        assert str(sidecar_error.value) == f"{sidecar}: {message}"
 
     def test_image_round_trip(self, tmp_path):
         grid = ImageGrid.centered(16, 1.0)

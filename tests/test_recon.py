@@ -296,7 +296,7 @@ class TestBackProject:
         path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
         cfg = ScenarioConfig.from_dict(json.loads(path.read_text()))
         grid = cfg.image_grid()
-        assert cfg.inversion_sensor_count == 849 and grid.shape == (128, 128)
+        assert cfg.geometry["count"] == 849 and grid.shape == (128, 128)
         sizes = [len(pair) for pair in _mirror_pairs(cfg.sensors(849), grid)[0]]
         assert (sizes.count(2), sizes.count(1)) == (424, 1)
 
