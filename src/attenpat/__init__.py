@@ -62,9 +62,7 @@ from .experiments import (
     run_scenario,
 )
 from .gridio import (
-    load_image,
     load_wave,
-    read_csv,
     read_grid,
     save_image,
     save_wave,

@@ -100,6 +100,11 @@ def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
+class _KindDuration(float):
+    """A duration filled in from the geometry kind, which every rebuild
+    (``dataclasses.replace`` included) fills in again from the kind it then has."""
+
+
 # sensor kind -> the value of each geometry key it reads, and of duration, when not given
 _KIND_DEFAULTS = {"circle": ({"radius": 1.7, "count": 849}, 6.0),
                   "line": ({"length": 10.2, "standoff": 1.7, "count": 849}, 8.0)}
@@ -204,11 +209,13 @@ class ScenarioConfig:
     )
 
     def __post_init__(self) -> None:
+        if isinstance(self.duration, _KindDuration):
+            self.duration = None
         for f in fields(self):
             setattr(self, f.name, keyed(f.metadata["key"], f.metadata["convert"],
                                         getattr(self, f.name)))
         if self.duration is None:
-            self.duration = _KIND_DEFAULTS[self.geometry["kind"]][1]
+            self.duration = _KindDuration(_KIND_DEFAULTS[self.geometry["kind"]][1])
         # the phantom builders' limits, on the values they will be given
         spec = self.phantom
         n, half = self._phantom_raster()

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import finite_int, finite_real, keyed
-from .recon import ImageGrid, ReconImage
+from .recon import ReconImage
 from .wavefield import TimeGrid, WaveData, make_sensors
 
 __all__ = [
@@ -36,10 +36,8 @@ __all__ = [
     "save_wave",
     "load_wave",
     "save_image",
-    "load_image",
     "write_image_pgm",
     "write_csv",
-    "read_csv",
 ]
 
 MAGIC = b"ATWV1"
@@ -141,6 +139,8 @@ def load_wave(path) -> WaveData:
 
 
 def save_image(path, image: ReconImage) -> None:
+    """GridFile payload plus a JSON sidecar carrying the method tag and the
+    provenance, which must be JSON-native: ``json`` refuses a numpy array or integer."""
     write_grid(
         path,
         image.values,
@@ -148,36 +148,8 @@ def save_image(path, image: ReconImage) -> None:
         spacing=(image.grid.spacing,) * image.grid.ndim,
         origin=image.grid.origin,
     )
-    meta = {"type": "image", "method": image.method,
-            "provenance": _jsonable(image.provenance)}
+    meta = {"type": "image", "method": image.method, "provenance": image.provenance}
     _sidecar(path).write_text(json.dumps(meta, indent=1, sort_keys=True))
-
-
-def load_image(path) -> ReconImage:
-    data = read_grid(path)
-    grid = ImageGrid(
-        shape=data.values.shape, spacing=float(data.spacing[0]), origin=data.origin
-    )
-    method = "unknown"
-    provenance: dict = {}
-    sc = _sidecar(path)
-    if sc.exists():
-        meta = json.loads(sc.read_text())
-        method = meta.get("method", method)
-        provenance = meta.get("provenance", {})
-    return ReconImage(data.values, grid, method, provenance)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def write_image_pgm(path, image, window=None) -> None:
@@ -223,16 +195,3 @@ def write_csv(path, columns: dict) -> None:
                 fh.write(",".join(f"{a[i]:.17g}" for a in arrays) + "\n")
     except OSError as exc:
         raise OSError(f"writing CSV {path}: {exc}") from exc
-
-
-def read_csv(path) -> dict:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        names = header.split(",") if header else []
-        table = [
-            [float(cell) for cell in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    data = np.asarray(table, dtype=float) if table else np.empty((0, len(names)))
-    return {name: data[:, i].copy() for i, name in enumerate(names)}

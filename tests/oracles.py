@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's own computational
 paths: direct quadrature instead of convolution recursions, explicit
 Python loops instead of matrix assembly, Monte-Carlo-free geometric
 means and the closed-form 3-D ball traces instead of wave solvers.
-:func:`lossless_errors` is the exception: it scores images against the
-library's own back-projection of the lossless traces, so that the
+:func:`lossless_image` is the exception: it is the library's own
+back-projection of the lossless traces, against which the
 back-projection's error cancels and the attenuation step's is left.
 """
 
@@ -155,21 +155,64 @@ def bilinear_at_sensors(prop, field, sensors):
     return raster.evaluate(sensors.points[:, 0], sensors.points[:, 1])
 
 
-def lossless_errors(result):
-    """Relative L2 error of each of a scenario's images against the
-    back-projection of its lossless traces, resampled onto the inversion grids
-    as the attenuated data were.  Both images share the back-projection's
-    discretization error, so what is left is the attenuation step's.  The
-    traces come from the forward cache, which ``run_scenario`` has filled."""
-    from attenpat.experiments import _forward_pressure, rel_l2_error, resample_data
+def lossless_image(result):
+    """The back-projection of a scenario's lossless traces, resampled onto the
+    inversion grids as the attenuated data were.  It shares the images'
+    discretization error, so their difference from it is the attenuation
+    step's.  The traces come from the forward cache, which ``run_scenario``
+    has filled."""
+    from attenpat.experiments import _forward_pressure, resample_data
     from attenpat.recon import back_project
 
     config = result.config
     p = _forward_pressure(config, config.build_phantom())
     p = resample_data(p, config.inversion_time_grid(),
                       config.sensors(config.geometry["count"]))
-    lossless = back_project({"lossless": p}, result.truth.grid)["lossless"]
+    return back_project({"lossless": p}, result.truth.grid)["lossless"]
+
+
+def lossless_errors(result):
+    """Relative L2 error of each of a scenario's images against :func:`lossless_image`."""
+    from attenpat.experiments import rel_l2_error
+
+    lossless = lossless_image(result)
     return {name: rel_l2_error(img, lossless) for name, img in result.reconstructions.items()}
+
+
+def nsw_attenuated_mode(tau, tau_tilde, a, t, integrated=False):
+    """Closed-form attenuated twin of the lossless mode ``p = cos(a t)``
+    (``q = sin(a t) / a``) under the NSW law
+    ``kappa^2 = w^2 (tau/tau_tilde) (1 - i w tau_tilde) / (1 - i w tau)``.
+
+    ``q^a(t) = (1/2 pi) int e^{-i w t} / (a^2 - kappa^2) dw`` along ``Im w = 0+``
+    has the integrand ``(1 - i w tau) / P(w)`` with the cubic
+    ``P(w) = i tau w^3 - (tau/tau_tilde) w^2 - i a^2 tau w + a^2``, whose three
+    roots lie below the real axis.  Closing the contour below gives
+
+        q^a(t) = -i sum_r (1 - i w_r tau) e^{-i w_r t} / P'(w_r)
+
+    and ``p^a = dq^a/dt``.  The roots are the eigenvalues of the monic cubic's
+    companion matrices, one per ``a``.  Rows follow ``a``, columns ``t``.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    a2 = a * a
+    companion = np.zeros((a.size, 3, 3), dtype=complex)
+    companion[:, 0] = np.stack([np.full(a.size, -1j / tau_tilde), a2, 1j * a2 / tau], axis=1)
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    w = np.linalg.eigvals(companion)[:, :, None]  # (a, root, 1)
+    dp = 3j * tau * w**2 - 2.0 * (tau / tau_tilde) * w - 1j * a2[:, None, None] * tau
+    residue = (1.0 - 1j * w * tau) / dp * (1.0 if integrated else -1j * w)
+    return np.real(-1j * (residue * np.exp(-1j * w * np.asarray(t, dtype=float))).sum(axis=1))
+
+
+def constant_attenuated_mode(k_inf, a, t, integrated=False):
+    """The same twin under the constant law ``kappa = w + i k_inf``:
+    ``q^a = e^{-k_inf t} sin(a t) / a`` and
+    ``p^a = e^{-k_inf t} (cos(a t) - k_inf sin(a t) / a)``."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))[:, None]
+    t = np.asarray(t, dtype=float)
+    sine = np.sin(a * t) / a
+    return np.exp(-k_inf * t) * (sine if integrated else np.cos(a * t) - k_inf * sine)
 
 
 def ball_nwave_oracle(r0, distance, t):

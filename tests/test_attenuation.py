@@ -20,8 +20,15 @@ from attenpat.models import (
     eval_kstar,
     k_infinity,
 )
+from attenpat.recon import time_differentiate, time_integrate
 from attenpat.wavefield import SensorArray, TimeGrid, WaveData
-from oracles import attenuated_series_loop, direct_kernel_transforms, series_matrix
+from oracles import (
+    attenuated_series_loop,
+    constant_attenuated_mode,
+    direct_kernel_transforms,
+    nsw_attenuated_mode,
+    series_matrix,
+)
 
 NSW = NswModel(tau=0.11, tau_tilde=0.10)
 CONSTANT = ConstantModel(k_inf=0.45)
@@ -279,6 +286,12 @@ class TestApplyInvert:
         with pytest.raises(ValueError, match="integrated"):
             apply_attenuation(system, _wave(np.zeros((443, 2)), GRID_443, kind="pressure"))
 
+    def test_invert_kind_enforced(self):
+        system = build_system(CONSTANT, GRID_443)
+        with pytest.raises(ValueError, match="expected kind 'attenuated_integrated', "
+                                             "got 'integrated'"):
+            invert_attenuation(system, _wave(np.zeros((443, 2)), GRID_443))
+
     def test_round_trip(self):
         system = build_system(NSW, GRID_443)
         rng = np.random.default_rng(11)
@@ -382,6 +395,49 @@ class TestApplyInvert:
         second = invert_attenuation(system, qa)
         assert calls == [(443, 443)]
         assert np.array_equal(first.values, second.values)
+
+
+class TestClosedFormModes:
+    """The pipeline's attenuation against the closed-form attenuated modes of
+    ``tests/oracles.py``, which share no code or discretization with it."""
+
+    MODES = np.array([0.5, 5.0, 50.0, 195.0])
+
+    def test_mode_starts_at_one(self):
+        assert np.abs(nsw_attenuated_mode(0.11, 0.10, self.MODES, [0.0]) - 1.0).max() <= 1e-13
+
+    def test_lossless_limit_is_the_cosine(self):
+        t = np.linspace(0.0, 6.0, 101)
+        p = nsw_attenuated_mode(0.11, 0.11, self.MODES, t)
+        assert np.abs(p - np.cos(np.outer(self.MODES, t))).max() <= 1e-11  # 6.8e-13 measured
+
+    @pytest.mark.parametrize("a, t", [(0.5, 1.0), (5.0, 2.5)])
+    def test_integrated_mode_matches_a_contour_quadrature(self, a, t):
+        # trapezoid on Im w = 0.3 over |Re w| <= 4000; the constant law's own
+        # twin is subtracted under the integral, which leaves a 1/w^4 tail
+        tau, tau_tilde = 0.11, 0.10
+        k_inf = (1.0 / tau_tilde - 1.0 / tau) / 2.0
+        x = np.linspace(-4000.0, 4000.0, 200_001)
+        w = x + 0.3j
+        kappa_sq = w**2 * (tau / tau_tilde) * (1.0 - 1j * w * tau_tilde) / (1.0 - 1j * w * tau)
+        f = (1.0 / (a * a - kappa_sq) - 1.0 / (a * a - (w + 1j * k_inf) ** 2)) * np.exp(-1j * w * t)
+        quadrature = (x[1] - x[0]) * (f.sum() - (f[0] + f[-1]) / 2.0) / (2.0 * np.pi)
+        closed = (nsw_attenuated_mode(tau, tau_tilde, a, [t], integrated=True)
+                  - constant_attenuated_mode(k_inf, a, [t], integrated=True))[0, 0]
+        assert abs(quadrature - closed) <= 1e-12  # 2.5e-13 and 6.2e-14 measured
+
+    def test_forward_attenuation_matches_the_closed_form(self):
+        # D M I on the nsw_circle forward grid, away from both ends of the record
+        tg = TimeGrid.from_duration(6.0, 500)
+        system = build_system(NSW, tg, num_nodes=2**15)
+        t = tg.times
+        p = WaveData(np.cos(np.outer(t, self.MODES)), tg, SensorArray.circle(1.7, 4),
+                     kind="pressure")
+        pa = time_differentiate(apply_attenuation(system, time_integrate(p))).values
+        error = np.abs(pa - nsw_attenuated_mode(NSW.tau, NSW.tau_tilde, self.MODES, t).T)
+        interior = error[(t > 0.5) & (t < 5.5)].max(axis=0)
+        # measured 1.26e-3, 1.48e-3, 2.17e-3 and 2.18e-3
+        assert np.all(interior <= [1.4e-3, 1.7e-3, 2.5e-3, 2.5e-3]), interior
 
 
 class TestConditioning:

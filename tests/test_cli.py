@@ -9,7 +9,7 @@ import pytest
 
 import attenpat
 from attenpat.cli import main
-from attenpat.gridio import read_csv, read_grid, save_wave, write_grid
+from attenpat.gridio import read_grid, save_wave, write_grid
 from attenpat.wavefield import SensorArray, TimeGrid, WaveData
 
 SMALL_SCENARIO = {
@@ -144,6 +144,14 @@ class TestPipelineCommands:
         ) == 0
         assert [(f.read_bytes(), f.stat().st_mtime_ns) for f in files] == written
 
+    def test_reconstruct_missing_data_is_usage_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, SMALL_SCENARIO)
+        data = tmp_path / "absent.atw"
+        out = tmp_path / "rec"
+        assert main(["reconstruct", "--config", cfg, "--data", str(data), "--out", str(out)]) == 1
+        assert f"data file not found: {data}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_scenario_artifacts(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, SMALL_SCENARIO)
         out = tmp_path / "out"
@@ -155,8 +163,11 @@ class TestPipelineCommands:
             "scenario_config.json",
         ):
             assert (out / name).exists(), name
-        sections = read_csv(out / "cross_sections.csv")
-        assert list(sections) == ["x", "truth", "naive", "compensated", "full"]
+        sections = out / "cross_sections.csv"
+        with open(sections, encoding="ascii") as fh:
+            assert fh.readline().strip().split(",") == ["x", "truth", "naive", "compensated",
+                                                        "full"]
+        assert np.loadtxt(sections, delimiter=",", skiprows=1).shape == (32, 5)
         img = read_grid(out / "recon_full.atw")
         assert img.values.shape == (32, 32)
         stdout = capsys.readouterr().out

@@ -422,6 +422,23 @@ class TestScenarioConfig:
         assert noisy.to_dict()["geometry"] == {"kind": "line", "length": 10.2,
                                                "standoff": 1.7, "count": 849}
 
+    def test_kind_duration_follows_the_kind_through_replace(self):
+        line = dataclasses.replace(ScenarioConfig(), geometry={"kind": "line"})
+        assert line.duration == ScenarioConfig(geometry={"kind": "line"}).duration == 8.0
+        assert dataclasses.replace(line, geometry={"kind": "circle"}).duration == 6.0
+        # an explicit duration stays, whatever the kind
+        explicit = dataclasses.replace(ScenarioConfig(duration=6.0), geometry={"kind": "line"})
+        assert explicit.duration == 6.0
+
+    def test_one_circular_ellipse_builds_the_disk(self):
+        disk = ScenarioConfig(phantom={"kind": "disk", "radius": 0.4, "intensity": 1.5})
+        item = {"intensity": 1.5, "center": [0.0, 0.0], "axes": [0.4, 0.4], "angle_deg": 0.0}
+        ellipses = ScenarioConfig(phantom={"kind": "ellipses", "items": [item]})
+        a, b = ellipses.build_phantom(), disk.build_phantom()
+        assert np.array_equal(a.values, b.values)  # bitwise
+        assert a.ellipses == b.ellipses
+        assert (a.spacing, a.origin) == (b.spacing, b.origin)
+
 
 class TestRunScenario:
     def test_small_nsw_circle(self):
